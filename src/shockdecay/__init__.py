@@ -32,7 +32,6 @@ from .errors import (
 )
 from .transport import (
     AsymptoteConvention,
-    AsymptoteRegime,
     FirstOrderCoefficients,
     Scenario,
     SecondOrderCoefficients,
@@ -84,7 +83,6 @@ __all__ = [
     "TMatrix",
     "VacuumError",
     "AsymptoteConvention",
-    "AsymptoteRegime",
     "asymptotic_law",
     "breakdown_distance",
     "closed_form",

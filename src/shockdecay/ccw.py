@@ -13,12 +13,13 @@ they differ by a few percent.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import GasParams, Geometry, jumps_from_mach, mu_nu
+from .core import GasParams, Geometry, as_scalar, jumps_from_mach, mu_nu, write_csv
 from .errors import DomainError, SolverError
 
 # Integration stops once U - 1 falls below this floor (the shock has
@@ -38,7 +39,7 @@ def g_classic(U, gas=GasParams()):
     out = (1.0 + 2.0 * np.sqrt(mu / nu) + U**-2.0) * (
         1.0 + (U * U - 1.0) / np.sqrt(mu * nu)
     )
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
 
 
 def g_generalized(U, gas=GasParams()):
@@ -47,7 +48,7 @@ def g_generalized(U, gas=GasParams()):
     mu, nu = mu_nu(U, gas)
     g = gas.gamma
     out = (g + 1.0) * (2.0 * U * U / nu + (U * U + 1.0) / mu)
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
 
 
 _COEFFICIENTS = {
@@ -66,10 +67,7 @@ class CcwHistory:
     variant: CcwVariant
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,U,p_jump\n")
-            for row in zip(self.x, self.U, self.p_jump):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, "x,U,p_jump", (self.x, self.U, self.p_jump))
 
 
 def integrate_ccw(
@@ -89,10 +87,12 @@ def integrate_ccw(
     tightened to rtol * WEAK_LIMIT_FLOOR, so the excess keeps full relative
     resolution all the way down to the termination floor.
     """
-    if U0 <= 1.0:
-        raise DomainError("initial Mach number must exceed 1")
-    if x_end <= 1.0:
-        raise DomainError("x_end must exceed the initial position x = 1")
+    if not 1.0 < U0 < math.inf:
+        raise DomainError("initial Mach number must be finite and exceed 1")
+    if not 1.0 < x_end < math.inf:
+        raise DomainError("x_end must be finite and exceed the initial position x = 1")
+    if not 0.0 < rtol < math.inf:
+        raise DomainError("solver tolerance rtol must be finite and positive")
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
     coeff = _COEFFICIENTS[variant]

@@ -13,20 +13,19 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .ccw import CcwVariant, integrate_ccw
-from .core import GasParams, Geometry, mach_from_p_jump, psi
-from .errors import ConfigError, DomainError, ShockError
+from .core import GasParams, Geometry, mach_from_p_jump, psi, write_csv
+from .errors import ConfigError, DomainError, ShockError, SolverError
 from .transport import (
     REFERENCE_CASES,
     REFERENCE_X,
     AsymptoteConvention,
-    AsymptoteRegime,
     Scenario,
     asymptotic_law,
     decay_slope,
@@ -65,10 +64,6 @@ def _setting(flag_value, config, section, key, default, cast):
     return default
 
 
-def _geometry(name):
-    return Geometry.from_name(name)
-
-
 def _positive_int(raw):
     value = int(raw)
     if value < 2:
@@ -86,6 +81,8 @@ class _Common:
         self.h = _setting(args.h, config, "run", "h", None, float)
         self.k = _setting(args.k, config, "run", "k", None, float)
         self.x_end = _setting(args.x_end, config, "run", "x_end", None, float)
+        if self.x_end is not None and not math.isfinite(self.x_end):
+            raise ConfigError(f"x_end must be finite, got {self.x_end}")
         self.rtol = _setting(args.rtol, config, "run", "rtol", 1e-10, float)
         self.samples = _setting(
             getattr(args, "samples", None), config, "run", "samples", 200, _positive_int
@@ -95,46 +92,29 @@ class _Common:
         self.out = args.out or (
             config.get("run", "out") if config and config.has_option("run", "out") else None
         )
-        try:
-            self.gas = GasParams(self.gamma)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.gas = GasParams(self.gamma)
 
     def geometry(self, default="planar"):
-        try:
-            return _geometry(self.geom_name or default)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def _write_rows(path, header, columns):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        return Geometry.from_name(self.geom_name or default)
 
 
 def _build_scenario(common, geom, h_default=0.1, k_default=1.0, x_end_default=100.0):
-    try:
-        return Scenario(
-            gas=common.gas,
-            geom=geom,
-            h=common.h if common.h is not None else h_default,
-            k=common.k if common.k is not None else k_default,
-            x_end=common.x_end if common.x_end is not None else x_end_default,
-            rtol=common.rtol,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario(
+        gas=common.gas,
+        geom=geom,
+        h=common.h if common.h is not None else h_default,
+        k=common.k if common.k is not None else k_default,
+        x_end=common.x_end if common.x_end is not None else x_end_default,
+        rtol=common.rtol,
+    )
 
 
 def cmd_evolve(args, config):
     common = _Common(args, config)
     geom = common.geometry()
     scen = _build_scenario(common, geom)
-    regime = AsymptoteRegime(args.regime)
     convention = AsymptoteConvention(args.asymptote)
-    hist = integrate_truncated(scen, regime, convention, n_samples=common.samples)
+    hist = integrate_truncated(scen, convention, n_samples=common.samples)
     if common.out:
         hist.to_csv(common.out)
     print(
@@ -162,22 +142,15 @@ def cmd_asymptote(args, config):
     geom = common.geometry()
     h = common.h if common.h is not None else 0.1
     k = common.k if common.k is not None else 1.0
-    if k <= 0.0:
-        raise ConfigError("asymptote requires k > 0 (decaying gradient jump)")
     x_end = common.x_end if common.x_end is not None else 100.0
     x_start = args.x_start if args.x_start is not None else 2.0
     if not 1.0 < x_start < x_end:
         raise ConfigError("need 1 < x_start < x_end")
-    regime = AsymptoteRegime(args.regime)
     xs = np.geomspace(x_start, x_end, common.samples)
-    p_asym, px_asym = asymptotic_law(xs, h, k, common.gas, geom, regime)
+    p_asym, px_asym = asymptotic_law(xs, h, k, common.gas, geom)
+    write_csv(common.out or sys.stdout, "x,p_asym,px_asym", (xs, p_asym, px_asym))
     if common.out:
-        _write_rows(common.out, "x,p_asym,px_asym", (xs, p_asym, px_asym))
         print(f"wrote {common.out}")
-    else:
-        print("x,p_asym,px_asym")
-        for row in zip(xs, p_asym, px_asym):
-            print(",".join(f"{v:.17g}" for v in row))
     return 0
 
 
@@ -195,7 +168,8 @@ def cmd_table1(args, config):
         )
         hist = integrate_truncated(scen, n_samples=common.samples)
         idx = np.searchsorted(hist.x, REFERENCE_X)
-        assert np.array_equal(hist.x[idx], REFERENCE_X)
+        if not np.array_equal(hist.x[idx], REFERENCE_X):
+            raise SolverError("the history does not sample every reference abscissa")
         for i, x in enumerate(REFERENCE_X):
             p_c, px_c = hist.p_err[idx[i]], hist.px_err[idx[i]]
             p_r, px_r = case.p_err[i], case.px_err[i]
@@ -223,7 +197,7 @@ def cmd_table1(args, config):
                 f"  {px_c:>12.4e} {px_r:>12.4e} {px_d:>+8.2%}"
             )
     if common.out:
-        _write_rows(
+        write_csv(
             common.out,
             "h,k,x,p_err,p_err_ref,p_err_dev,px_err,px_err_ref,px_err_dev",
             tuple(np.array(col) for col in zip(*rows)),
@@ -241,17 +215,14 @@ def _make_pulse(args, config):
         if config and config.has_option("pulse", "file")
         else None
     )
-    try:
-        if shape == "half-sine":
-            return BoundaryPulse.half_sine(v0, tau0)
-        if shape == "ramp":
-            return BoundaryPulse.linear_ramp(v0, tau0)
-        if shape == "table":
-            if not pulse_file:
-                raise ConfigError("table pulse needs --pulse-file")
-            return BoundaryPulse.from_csv(pulse_file)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    if shape == "half-sine":
+        return BoundaryPulse.half_sine(v0, tau0)
+    if shape == "ramp":
+        return BoundaryPulse.linear_ramp(v0, tau0)
+    if shape == "table":
+        if not pulse_file:
+            raise ConfigError("table pulse needs --pulse-file")
+        return BoundaryPulse.from_csv(pulse_file)
     raise ConfigError(f"unknown pulse shape {shape!r}")
 
 
@@ -383,40 +354,32 @@ def _pipeline_simple_wave(gas, geom, x_end):
 
 def _pipeline_ccw(gas, geom, h, x_end, rtol, out_dir):
     u0 = mach_from_p_jump(h, gas)
-    runs = {}
+    out = {"U0": u0}
+    runs = []
     for variant in (CcwVariant.GENERALIZED, CcwVariant.CLASSIC):
-        runs[variant] = integrate_ccw(
-            u0, gas, geom, x_end, variant, rtol=rtol, n_samples=240
-        )
+        run = integrate_ccw(u0, gas, geom, x_end, variant, rtol=rtol, n_samples=240)
         if out_dir:
-            runs[variant].to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
-    gen, cla = runs[CcwVariant.GENERALIZED], runs[CcwVariant.CLASSIC]
+            run.to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
+        # Fit over the last two decades each run actually reached; a strongly
+        # converging front hits the weak-limit floor well before a large x_end.
+        window = run.x >= run.x[-1] / 100.0
+        out[f"{variant.value}_exponent"] = decay_slope(run.x[window], run.p_jump[window])
+        runs.append(run)
+    gen, cla = runs
     n = min(gen.x.size, cla.x.size)
-    gap = float(np.max(np.abs((cla.U[:n] - gen.U[:n]) / np.maximum(gen.U[:n] - 1.0, 1e-300))))
-    # Fit over the last two decades each run actually reached; a strongly
-    # converging front hits the weak-limit floor well before a large x_end.
-    window = gen.x >= gen.x[-1] / 100.0
-    exponent_gen = decay_slope(gen.x[window], gen.p_jump[window])
-    window_c = cla.x >= cla.x[-1] / 100.0
-    exponent_cla = decay_slope(cla.x[window_c], cla.p_jump[window_c])
-    return {
-        "U0": u0,
-        "generalized_exponent": exponent_gen,
-        "classic_exponent": exponent_cla,
-        "variant_gap": gap,
-    }
+    gap = np.max(np.abs((cla.U[:n] - gen.U[:n]) / np.maximum(gen.U[:n] - 1.0, 1e-300)))
+    out["variant_gap"] = float(gap)
+    return out
 
 
 def cmd_compare_methods(args, config):
     common = _Common(args, config)
     h = common.h if common.h is not None else 0.05
-    if abs(h) > 0.1:
-        raise ConfigError(f"|h| = {abs(h)} exceeds the weak-data bound 0.1")
-    if h <= 0.0:
-        raise ConfigError("compare-methods needs h > 0")
+    if not 0.0 < h <= 0.1:
+        raise ConfigError(f"compare-methods needs 0 < h <= 0.1 (weak data), got {h}")
     k = common.k if common.k is not None else 1.0
-    if k <= 0.0:
-        raise ConfigError("compare-methods needs k > 0 for the precursor branch")
+    if not 0.0 < k < math.inf:
+        raise ConfigError("compare-methods needs a finite k > 0 for the precursor branch")
     # The default range is long because the spherical asymptote switches on
     # only logarithmically: the fitted exponents approach their limits like
     # 1/log(x), so two fitting decades ending at 1e12 are needed to place
@@ -439,24 +402,19 @@ def cmd_compare_methods(args, config):
     }
     any_failed = False
     for geom in geometries:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = {
-                "transport": pool.submit(
-                    _pipeline_transport, common.gas, geom, h, k, x_end, common.rtol, out_dir
-                ),
-                "wngo": pool.submit(_pipeline_wngo, common.gas, geom, h, x_end, out_dir),
-                "simple_wave": pool.submit(_pipeline_simple_wave, common.gas, geom, x_end),
-                "ccw": pool.submit(
-                    _pipeline_ccw, common.gas, geom, h, x_end, common.rtol, out_dir
-                ),
-            }
-            entry = {}
-            for name, future in futures.items():
-                try:
-                    entry[name] = future.result()
-                except ShockError as exc:
-                    entry[name] = {"status": "failed", "error": str(exc)}
-                    any_failed = True
+        pipelines = {
+            "transport": (_pipeline_transport, h, k, x_end, common.rtol, out_dir),
+            "wngo": (_pipeline_wngo, h, x_end, out_dir),
+            "simple_wave": (_pipeline_simple_wave, x_end),
+            "ccw": (_pipeline_ccw, h, x_end, common.rtol, out_dir),
+        }
+        entry = {}
+        for name, (pipeline, *rest) in pipelines.items():
+            try:
+                entry[name] = pipeline(common.gas, geom, *rest)
+            except ShockError as exc:
+                entry[name] = {"status": "failed", "error": str(exc)}
+                any_failed = True
         pairs = {}
         if "exponent" in entry.get("wngo", {}) and "precursor_exponent" in entry.get(
             "transport", {}
@@ -508,7 +466,6 @@ def _parser():
 
     p = sub.add_parser("evolve", help="integrate the weak-shock decay system")
     common_flags(p)
-    p.add_argument("--regime", choices=["case1", "case2"], default="case1")
     p.add_argument(
         "--asymptote",
         choices=["leading", "power-law"],
@@ -519,7 +476,6 @@ def _parser():
 
     p = sub.add_parser("asymptote", help="evaluate the closed decay laws")
     common_flags(p)
-    p.add_argument("--regime", choices=["case1", "case2"], default="case1")
     p.add_argument("--x-start", type=float, default=None)
     p.set_defaults(func=cmd_asymptote)
 
@@ -565,10 +521,7 @@ def main(argv=None):
     try:
         config = _load_config(args.config) if args.config else None
         return args.func(args, config)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShockError as exc:

@@ -9,6 +9,7 @@ factor psi(x) = x**(-j/2) and the accumulated ray integral
 J(x) = integral_1^x psi(s) ds evaluated in closed form below.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class GasParams:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be finite and exceed 1, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,26 @@ class JumpSet:
     rho_jump: float
 
 
+def as_scalar(*values):
+    """Each 0-d value as a Python float, arrays unchanged; one value unpacked."""
+    out = tuple(float(v) if np.ndim(v) == 0 else v for v in values)
+    return out[0] if len(out) == 1 else out
+
+
+def write_csv(dest, header, columns):
+    """Write columns as CSV rows of 17-significant-digit floats, LF endings.
+
+    dest is a file path or an open text stream.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="\n") as fh:
+            write_csv(fh, header, columns)
+        return
+    dest.write(header + "\n")
+    for row in zip(*columns):
+        dest.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def jumps_from_mach(mach, gas=GasParams()):
     """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` >= 1."""
     mach = np.asarray(mach, dtype=float)
@@ -76,9 +97,7 @@ def jumps_from_mach(mach, gas=GasParams()):
     u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)
     p = mach * u
     rho = np.divide(u, mach - u, out=np.zeros_like(u), where=mach - u != 0.0)
-    if mach.ndim == 0:
-        return JumpSet(float(mach), float(u), float(p), float(rho))
-    return JumpSet(mach, u, p, rho)
+    return JumpSet(*as_scalar(mach, u, p, rho))
 
 
 def mach_from_p_jump(p_jump, gas=GasParams()):
@@ -87,7 +106,7 @@ def mach_from_p_jump(p_jump, gas=GasParams()):
     if np.any(p_jump < 0.0):
         raise DomainError("pressure jump must be >= 0 for a compressive shock")
     mach = np.sqrt(1.0 + 0.5 * (gas.gamma + 1.0) * p_jump)
-    return float(mach) if mach.ndim == 0 else mach
+    return as_scalar(mach)
 
 
 def mu_nu(mach, gas=GasParams()):
@@ -98,9 +117,7 @@ def mu_nu(mach, gas=GasParams()):
     g = gas.gamma
     mu = 2.0 + (g - 1.0) * mach**2
     nu = 2.0 * g * mach**2 + 1.0 - g
-    if mach.ndim == 0:
-        return float(mu), float(nu)
-    return mu, nu
+    return as_scalar(mu, nu)
 
 
 def psi(x, geom=Geometry(0)):
@@ -109,7 +126,7 @@ def psi(x, geom=Geometry(0)):
     if np.any(x < 1.0):
         raise DomainError("position must be >= 1 (the initial wavefront radius)")
     out = x ** (-0.5 * geom.j)
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
 
 
 def ray_integral(x, geom=Geometry(0)):
@@ -123,7 +140,7 @@ def ray_integral(x, geom=Geometry(0)):
         out = 2.0 * (np.sqrt(x) - 1.0)
     else:
         out = np.log(x)
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
 
 
 def ray_integral_leading(x, geom=Geometry(0)):
@@ -137,7 +154,7 @@ def ray_integral_leading(x, geom=Geometry(0)):
         out = 2.0 * np.sqrt(x)
     else:
         out = np.log(x)
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
 
 
 def ray_integral_inverse(value, geom=Geometry(0)):
@@ -151,4 +168,18 @@ def ray_integral_inverse(value, geom=Geometry(0)):
         out = (1.0 + 0.5 * value) ** 2
     else:
         out = np.exp(value)
-    return float(out) if out.ndim == 0 else out
+    return as_scalar(out)
+
+
+def far_field_gradient(x, gas=GasParams(), geom=Geometry(0)):
+    """Far-field gradient jump 2/(gamma+1) * {1/x; 1/(2x); 1/(x log x)}.
+
+    The law is the same for the transport and the wavefront routes and
+    carries no memory of the initial strength.
+    """
+    g = gas.gamma
+    if geom.j == 0:
+        return 2.0 / (g + 1.0) / x
+    if geom.j == 1:
+        return 1.0 / (g + 1.0) / x
+    return 2.0 / (g + 1.0) / (x * np.log(x))

@@ -23,6 +23,7 @@ breakdown position x* where I(x*) = 0.
 """
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,10 +33,14 @@ from scipy.integrate import solve_ivp
 from .core import (
     GasParams,
     Geometry,
+    as_scalar,
+    far_field_gradient,
+    mu_nu,
     psi,
     ray_integral,
     ray_integral_inverse,
     ray_integral_leading,
+    write_csv,
 )
 from .errors import BreakdownError, DomainError, SingularCoefficientError, SolverError
 
@@ -72,14 +77,6 @@ class SecondOrderCoefficients:
     eta: float
 
 
-def _strength_polys(U, gas):
-    """mu, nu and the common denominator D = U^2(2mu+nu) + nu."""
-    g = gas.gamma
-    mu = 2.0 + (g - 1.0) * U * U
-    nu = 2.0 * g * U * U + 1.0 - g
-    return mu, nu, U * U * (2.0 * mu + nu) + nu
-
-
 def first_order_coefficients(U, gas=GasParams(), omega=0.0):
     """Transport coefficients for the shock-strength equation.
 
@@ -90,7 +87,8 @@ def first_order_coefficients(U, gas=GasParams(), omega=0.0):
     if omega < 0.0:
         raise DomainError("curvature j/x must be >= 0")
     g = gas.gamma
-    mu, nu, D = _strength_polys(U, gas)
+    mu, nu = mu_nu(U, gas)
+    D = U * U * (2.0 * mu + nu) + nu
     k11 = -2.0 * (U * U - 1.0) * mu / D
     k12 = -4.0 * (U * U - 1.0) * mu * nu / D * (omega / (g + 1.0) ** 2)
     return FirstOrderCoefficients(k11, k12)
@@ -117,7 +115,8 @@ def t_matrix(U, gas=GasParams(), geom=Geometry(0), x=1.0):
         raise SingularCoefficientError(
             "gradient reconstruction is singular at U = 1 for a curved front"
         )
-    mu, nu, D = _strength_polys(U, gas)
+    mu, nu = mu_nu(U, gas)
+    D = U * U * (2.0 * mu + nu) + nu
     k11 = -2.0 * (U * U - 1.0) * mu / D
     k12 = k11 * 2.0 * nu * omega / (g + 1.0) ** 2
     t11 = (mu - (g + 1.0) * k11 * U * U) / (nu * U)
@@ -153,7 +152,8 @@ def t_matrix_derivatives(U, gas=GasParams(), geom=Geometry(0), x=1.0):
         raise SingularCoefficientError(
             "gradient reconstruction is singular at U = 1 for a curved front"
         )
-    mu, nu, D = _strength_polys(U, gas)
+    mu, nu = mu_nu(U, gas)
+    D = U * U * (2.0 * mu + nu) + nu
     dmu = 2.0 * (g - 1.0) * U
     dnu = 4.0 * g * U
     dD = 2.0 * U * (2.0 * mu + nu) + U * U * (2.0 * dmu + dnu) + dnu
@@ -204,7 +204,8 @@ def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
         raise SingularCoefficientError(
             "gradient reconstruction is singular at U = 1 for a curved front"
         )
-    mu, nu, D = _strength_polys(U, gas)
+    mu, nu = mu_nu(U, gas)
+    D = U * U * (2.0 * mu + nu) + nu
     k11 = -2.0 * (U * U - 1.0) * mu / D
     k12 = k11 * 2.0 * nu * omega / (g + 1.0) ** 2
     ratio = 2.0 * nu * omega / (g + 1.0) ** 2  # k12/k11, reduced
@@ -230,18 +231,6 @@ def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
         * (tm.t12**2 + U * dt12_dx + (g + 1.0) * (k12 / (4.0 * U)) * dt12_dU)
     )
     return SecondOrderCoefficients(k21, k22, k23, k24, eta)
-
-
-class AsymptoteRegime(enum.Enum):
-    """Which scaling route's printed asymptote to attach to a history.
-
-    Both routes (order-one gradient jump vs gradient jump comparable to the
-    strength) collapse to the same unscaled decay laws, so the choice is
-    recorded for provenance but does not change any number.
-    """
-
-    CASE1 = "case1"
-    CASE2 = "case2"
 
 
 class AsymptoteConvention(enum.Enum):
@@ -273,13 +262,15 @@ class Scenario:
     atol: float = 1e-14
 
     def __post_init__(self):
-        if not self.x_end > 1.0:
-            raise DomainError("x_end must exceed the initial position x = 1")
-        if self.h < 0.0:
-            raise DomainError("initial pressure jump h must be >= 0 (compressive)")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise DomainError("solver tolerances must be positive")
-        if abs(self.h) > 0.5:
+        if not 1.0 < self.x_end < math.inf:
+            raise DomainError("x_end must be finite and exceed the initial position x = 1")
+        if not 0.0 <= self.h < math.inf:
+            raise DomainError("initial pressure jump h must be finite and >= 0 (compressive)")
+        if not math.isfinite(self.k):
+            raise DomainError(f"initial gradient jump k must be finite, got {self.k}")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise DomainError("solver tolerances must be finite and positive")
+        if self.h > 0.5:
             warnings.warn(
                 f"initial jump h = {self.h} is outside the weak-shock regime",
                 stacklevel=2,
@@ -306,23 +297,9 @@ class ShockHistory:
     px_err: np.ndarray
     breakdown: float = None
 
-    def columns(self):
-        return (
-            self.x,
-            self.p_jump,
-            self.px_jump,
-            self.p_asym,
-            self.px_asym,
-            self.p_err,
-            self.px_err,
-        )
-
     def to_csv(self, path):
         """Write the history as CSV with 17-significant-digit floats."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in zip(*self.columns()):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, CSV_HEADER, [getattr(self, name) for name in CSV_HEADER.split(",")])
 
     @classmethod
     def from_csv(cls, path):
@@ -332,71 +309,60 @@ class ShockHistory:
         return cls(*[np.asarray(c, dtype=float) for c in cols])
 
 
+def _closed_form(x, h, k, gas, geom, ray):
+    """([p], [p_x]) of the truncated system for the ray integral ``ray``,
+    or None once 1 + (gamma+1) k ray(x)/2 reaches zero."""
+    x = np.asarray(x, dtype=float)
+    I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * ray(x, geom)
+    if np.any(I <= 0.0):
+        return None
+    shape = psi(x, geom)
+    return as_scalar(h / np.sqrt(I) * shape, k / I * shape)
+
+
 def closed_form(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Exact ([p], [p_x]) of the truncated weak system at position x.
 
     Raises BreakdownError once 1 + (gamma+1) k J(x)/2 reaches zero.
     """
-    x = np.asarray(x, dtype=float)
-    J = ray_integral(x, geom)
-    I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * J
-    if np.any(I <= 0.0):
+    out = _closed_form(x, h, k, gas, geom, ray_integral)
+    if out is None:
         raise BreakdownError(
             f"gradient jump blew up before x = {np.max(x)}; "
             f"breakdown at x* = {breakdown_distance(h, k, gas, geom)}"
         )
-    shape = psi(x, geom)
-    p = h / np.sqrt(I) * shape
-    px = k / I * shape
-    if np.ndim(p) == 0:
-        return float(p), float(px)
-    return p, px
+    return out
 
 
 def leading_order_reference(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Closed form with the ray integral replaced by its leading part."""
-    x = np.asarray(x, dtype=float)
-    J = ray_integral_leading(x, geom)
-    I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * J
-    if np.any(I <= 0.0):
+    out = _closed_form(x, h, k, gas, geom, ray_integral_leading)
+    if out is None:
         raise BreakdownError("leading-order reference ceased to exist")
-    shape = psi(x, geom)
-    p = h / np.sqrt(I) * shape
-    px = k / I * shape
-    if np.ndim(p) == 0:
-        return float(p), float(px)
-    return p, px
+    return out
 
 
-def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0), regime=AsymptoteRegime.CASE1):
+def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Pure large-x decay laws of ([p], [p_x]) for k > 0.
 
     [p]   ~ h sqrt(2/((gamma+1)k)) * {x^-1/2; 2^-1/2 x^-3/4; x^-1 (log x)^-1/2}
-    [p_x] ~ 2/(gamma+1) * {x^-1; x^-1/2; (x log x)^-1}  -- no h dependence.
-
-    Both regime values give the same laws (the two scaling routes agree once
-    the bookkeeping amplitude is absorbed into h and k).
+    [p_x] ~ 2/(gamma+1) * {x^-1; (2x)^-1; (x log x)^-1}  -- no h dependence.
     """
-    if k <= 0.0:
-        raise DomainError("decay asymptotes require a positive gradient jump k")
-    if not isinstance(regime, AsymptoteRegime):
-        raise DomainError(f"unknown asymptote regime {regime!r}")
+    if not math.isfinite(h):
+        raise DomainError(f"initial pressure jump h must be finite, got {h}")
+    if not 0.0 < k < math.inf:
+        raise DomainError("decay asymptotes require a finite, positive gradient jump k")
     x = np.asarray(x, dtype=float)
-    g = gas.gamma
-    amp = h * np.sqrt(2.0 / ((g + 1.0) * k))
+    amp = h * np.sqrt(2.0 / ((gas.gamma + 1.0) * k))
     with np.errstate(divide="ignore"):
         if geom.j == 0:
             p = amp / np.sqrt(x)
-            px = 2.0 / (g + 1.0) / x
         elif geom.j == 1:
             p = amp / np.sqrt(2.0) * x**-0.75
-            px = 1.0 / (g + 1.0) / x
         else:
             p = amp / (x * np.sqrt(np.log(x)))
-            px = 2.0 / (g + 1.0) / (x * np.log(x))
-    if np.ndim(p) == 0:
-        return float(p), float(px)
-    return p, px
+        px = far_field_gradient(x, gas, geom)
+    return as_scalar(p, px)
 
 
 def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
@@ -457,12 +423,7 @@ def _sample_grid(x_end, n_samples):
     return np.unique(np.concatenate(([1.0], xs, marks, [x_end])))
 
 
-def integrate_truncated(
-    scen,
-    regime=AsymptoteRegime.CASE1,
-    convention=AsymptoteConvention.LEADING,
-    n_samples=200,
-):
+def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=200):
     """Integrate the truncated weak system over [1, x_end] and sample it.
 
     Reference (asymptote) and error columns are attached per `convention`
@@ -517,7 +478,7 @@ def integrate_truncated(
         if convention is AsymptoteConvention.LEADING:
             p_ref, px_ref = leading_order_reference(x, scen.h, scen.k, scen.gas, scen.geom)
         else:
-            p_ref, px_ref = asymptotic_law(x, scen.h, scen.k, scen.gas, scen.geom, regime)
+            p_ref, px_ref = asymptotic_law(x, scen.h, scen.k, scen.gas, scen.geom)
         p_ref = np.broadcast_to(np.asarray(p_ref, dtype=float), x.shape).copy()
         px_ref = np.broadcast_to(np.asarray(px_ref, dtype=float), x.shape).copy()
     else:

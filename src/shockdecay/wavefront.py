@@ -17,6 +17,7 @@ u solves u (1 + (gamma-1)u/2)^(2/(gamma-1)) = v(tau) psi(x) and the full
 state (rho, p, a) follows algebraically from u.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,16 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .core import GasParams, Geometry, psi, ray_integral, ray_integral_inverse
+from .core import (
+    GasParams,
+    Geometry,
+    as_scalar,
+    far_field_gradient,
+    psi,
+    ray_integral,
+    ray_integral_inverse,
+    write_csv,
+)
 from .errors import DomainError, FittingError, VacuumError
 
 ROOT_RESIDUAL_TOL = 1e-13
@@ -42,8 +52,8 @@ class BoundaryPulse:
     """
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
-        if not tau0 > 0.0:
-            raise DomainError("pulse duration tau0 must be positive")
+        if not 0.0 < tau0 < math.inf:
+            raise DomainError("pulse duration tau0 must be finite and positive")
         self.v = v
         self.tau0 = float(tau0)
         self.label = label
@@ -62,6 +72,8 @@ class BoundaryPulse:
             ]
             self._cumulative = np.concatenate(([0.0], np.cumsum(panels)))
         self.b = self.v_integral(self.tau0)
+        if not (math.isfinite(self.vdot0) and math.isfinite(self.b)):
+            raise DomainError("pulse head slope and pulse integral must be finite")
 
     def v_integral(self, tau):
         """Cumulative integral of v from 0 to tau (tau in [0, tau0])."""
@@ -77,8 +89,8 @@ class BoundaryPulse:
     @classmethod
     def half_sine(cls, v0, tau0):
         """v(tau) = v0 sin(pi tau / tau0)."""
-        if not tau0 > 0.0:
-            raise DomainError("pulse duration tau0 must be positive")
+        if not 0.0 < tau0 < math.inf:
+            raise DomainError("pulse duration tau0 must be finite and positive")
         w = np.pi / tau0
 
         def v(tau):
@@ -92,8 +104,6 @@ class BoundaryPulse:
     @classmethod
     def linear_ramp(cls, m, tau0):
         """v(tau) = m tau (1 - tau/tau0): linear head, ramp back to zero."""
-        if not tau0 > 0.0:
-            raise DomainError("pulse duration tau0 must be positive")
 
         def v(tau):
             return m * tau * (1.0 - tau / tau0)
@@ -182,10 +192,7 @@ class FittedShock:
         if reference is not None:
             header += ",u_asym,ux_asym"
             columns += [reference[0], reference[1]]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in zip(*columns):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, header, columns)
 
 
 def _gradient_shape(x, s, tau0, geom):
@@ -206,7 +213,8 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     x_grid must be strictly increasing with x_grid[0] > 1.  At each x the
     smallest positive root tau_-(x) of the equal-area rule is located by a
     sign-change scan (first point) or continued from the previous root
-    (warm-started bracket), then polished to |F| < 1e-13.
+    (warm-started bracket), then polished to |F| < 1e-13 or until the
+    bracket closes to adjacent doubles.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
@@ -292,14 +300,17 @@ def _first_bracket(F, tau0, x, x_form):
 
 
 def _polish_bisect(F, lo, hi, root):
-    """Bisect until the equal-area residual is below ROOT_RESIDUAL_TOL."""
+    """Bisect until the equal-area residual is below ROOT_RESIDUAL_TOL or
+    the bracket [lo, hi] cannot be split further."""
     if abs(F(root)) < ROOT_RESIDUAL_TOL:
         return root
     flo = F(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            return mid
         fmid = F(mid)
-        if abs(fmid) < ROOT_RESIDUAL_TOL or hi - lo < 1e-16 * max(1.0, hi):
+        if abs(fmid) < ROOT_RESIDUAL_TOL:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
@@ -318,18 +329,9 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise DomainError("asymptotes need x > 1")
-    g = gas.gamma
     J = ray_integral(x, geom)
-    u = np.sqrt(4.0 * b / ((g + 1.0) * J)) * psi(x, geom)
-    if geom.j == 0:
-        ux = 2.0 / (g + 1.0) / x
-    elif geom.j == 1:
-        ux = 1.0 / (g + 1.0) / x
-    else:
-        ux = 2.0 / (g + 1.0) / (x * np.log(x))
-    if np.ndim(u) == 0:
-        return float(u), float(ux)
-    return u, ux
+    u = np.sqrt(4.0 * b / ((gas.gamma + 1.0) * J)) * psi(x, geom)
+    return as_scalar(u, far_field_gradient(x, gas, geom))
 
 
 def ruw_state(u, gas=GasParams()):
@@ -341,9 +343,7 @@ def ruw_state(u, gas=GasParams()):
         raise VacuumError("velocity at or below -2/(gamma-1): state reaches vacuum")
     rho = a ** (2.0 / (g - 1.0))
     p = a ** (2.0 * g / (g - 1.0)) / g
-    if np.ndim(u) == 0:
-        return float(rho), float(p), float(a)
-    return rho, p, a
+    return as_scalar(rho, p, a)
 
 
 def simple_wave_u(rhs, gas=GasParams()):

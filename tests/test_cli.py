@@ -6,10 +6,12 @@ numerical failure, 4 partial comparison report.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from shockdecay import GasParams, Geometry, asymptotic_law, cli
 from shockdecay.cli import main
 from shockdecay.transport import CSV_HEADER
 
@@ -79,6 +81,48 @@ def test_asymptote_requires_growth_data(tmp_path):
     assert data["x"][0] >= 2.0
 
 
+def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
+    argv = ["asymptote", "--geometry", "spherical", "--h", "0.05", "--k", "2",
+            "--x-end", "1e6", "--samples", "40"]
+    out = tmp_path / "law.csv"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert data.dtype.names == ("x", "p_asym", "px_asym")
+    p, px = asymptotic_law(data["x"], 0.05, 2.0, GasParams(1.4), Geometry(2))
+    np.testing.assert_allclose(data["p_asym"], p, rtol=1e-15)
+    np.testing.assert_allclose(data["px_asym"], px, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--h", "nan"],
+        ["evolve", "--k", "nan"],
+        ["evolve", "--k", "inf"],
+        ["evolve", "--x-end", "inf"],
+        ["ccw", "--u0", "nan"],
+        ["ccw", "--x-end", "inf"],
+        ["compare-methods", "--h", "nan"],
+        ["fit-shock", "--x-end", "inf"],
+        ["fit-shock", "--v0", "nan"],
+        ["asymptote", "--h", "nan"],
+        ["asymptote", "--k", "inf"],
+        ["evolve", "--gamma", "inf"],
+        ["evolve", "--rtol", "inf"],
+        ["ccw", "--rtol", "inf"],
+        ["fit-shock", "--tau0", "inf"],
+    ],
+)
+def test_non_finite_input_is_config_error(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_table1_reports_both_sets(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert main(["table1", "--out", str(out)]) == 0
@@ -88,6 +132,14 @@ def test_table1_reports_both_sets(tmp_path, capsys):
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert data.shape == (26,)
     assert set(data["k"]) == {10.0, 0.28}
+
+
+def test_table1_unsampled_abscissa_is_numerical_failure(monkeypatch, capsys):
+    # The table reads the history at the reference abscissae; a history that
+    # misses one is a numerical failure (exit 3), also under python -O.
+    monkeypatch.setattr(cli, "REFERENCE_X", cli.REFERENCE_X - 1e-3)
+    assert main(["table1"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fit_shock_csv(tmp_path):

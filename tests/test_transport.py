@@ -12,7 +12,6 @@ import pytest
 
 from shockdecay import (
     AsymptoteConvention,
-    AsymptoteRegime,
     BreakdownError,
     DomainError,
     GasParams,
@@ -282,17 +281,6 @@ def test_asymptotic_law_structure():
     assert px == pytest.approx(0.008333333333333333, rel=1e-14)
     with pytest.raises(DomainError):
         asymptotic_law(10.0, 0.32, -1.0, GAS, PLANAR)
-
-
-def test_asymptote_regimes_coincide():
-    # Both labelled regimes obey the same decay laws; the label is kept
-    # only to mirror the two derivations.
-    x = np.geomspace(2.0, 1e4, 9)
-    for j in (0, 1, 2):
-        a = asymptotic_law(x, 0.2, 3.0, GAS, Geometry(j), AsymptoteRegime.CASE1)
-        b = asymptotic_law(x, 0.2, 3.0, GAS, Geometry(j), AsymptoteRegime.CASE2)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_leading_order_reference_properties():

@@ -161,6 +161,31 @@ def test_fit_shock_satisfies_area_rule():
         )
 
 
+def test_fit_shock_far_range_is_exact_and_cheap():
+    # For a half-sine pulse the equal-area rule has the closed-form root
+    # tau = arccos(r - 1)/w with r = 4/((gamma+1) w v0 J), written here as
+    # (pi - 2 arcsin(sqrt(r/2)))/w to avoid the cancellation in r - 1 as
+    # tau approaches tau0.  At x ~ 1e12 the bisection polish must stop once
+    # its bracket closes to adjacent doubles, not run to its iteration cap.
+    v0, w = 0.05, np.pi
+    pulse = BoundaryPulse.half_sine(v0, 1.0)
+    calls = 0
+    v_integral = pulse.v_integral
+
+    def counted(tau):
+        nonlocal calls
+        calls += 1
+        return v_integral(tau)
+
+    pulse.v_integral = counted
+    x = np.geomspace(1e10, 1e12, 120)
+    fitted = fit_shock(pulse, GAS, PLANAR, x)
+    assert calls < 60 * x.size
+    r = 4.0 / ((GAS.gamma + 1.0) * w * v0 * ray_integral(x, PLANAR))
+    tau = (np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * r))) / w
+    np.testing.assert_allclose(fitted.tau_minus, tau, rtol=1e-12)
+
+
 def test_fit_shock_speed_law():
     # The fitted arrival time s(x) must obey the front kinematics
     # ds/dx = 1 - (gamma+1)/4 * v(tau-) * psi(x).
