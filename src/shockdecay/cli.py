@@ -23,6 +23,7 @@ from .ccw import CcwVariant, integrate_ccw
 from .core import GasParams, Geometry, mach_from_p_jump, psi, write_csv
 from .errors import ConfigError, DomainError, ShockError, SolverError
 from .transport import (
+    MAX_X_END,
     REFERENCE_CASES,
     REFERENCE_X,
     AsymptoteConvention,
@@ -81,8 +82,8 @@ class _Common:
         self.h = _setting(args.h, config, "run", "h", None, float)
         self.k = _setting(args.k, config, "run", "k", None, float)
         self.x_end = _setting(args.x_end, config, "run", "x_end", None, float)
-        if self.x_end is not None and not math.isfinite(self.x_end):
-            raise ConfigError(f"x_end must be finite, got {self.x_end}")
+        if self.x_end is not None and not 1.0 < self.x_end <= MAX_X_END:
+            raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {self.x_end}")
         self.rtol = _setting(args.rtol, config, "run", "rtol", 1e-10, float)
         self.samples = _setting(
             getattr(args, "samples", None), config, "run", "samples", 200, _positive_int

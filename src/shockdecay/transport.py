@@ -46,6 +46,8 @@ from .errors import BreakdownError, DomainError, SingularCoefficientError, Solve
 
 # Gradient magnitude treated as numerically infinite by the blow-up detector.
 BLOWUP_THRESHOLD = 1e10
+# Largest accepted x_end (inclusive): the solver's cost grows with the range.
+MAX_X_END = 1e18
 
 
 @dataclass(frozen=True)
@@ -262,8 +264,8 @@ class Scenario:
     atol: float = 1e-14
 
     def __post_init__(self):
-        if not 1.0 < self.x_end < math.inf:
-            raise DomainError("x_end must be finite and exceed the initial position x = 1")
+        if not 1.0 < self.x_end <= MAX_X_END:
+            raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}]")
         if not 0.0 <= self.h < math.inf:
             raise DomainError("initial pressure jump h must be finite and >= 0 (compressive)")
         if not math.isfinite(self.k):
@@ -354,6 +356,8 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
         raise DomainError("decay asymptotes require a finite, positive gradient jump k")
     x = np.asarray(x, dtype=float)
     amp = h * np.sqrt(2.0 / ((gas.gamma + 1.0) * k))
+    if not math.isfinite(amp):
+        raise DomainError(f"decay amplitude h*sqrt(2/((gamma+1)k)) overflows for k = {k}")
     with np.errstate(divide="ignore"):
         if geom.j == 0:
             p = amp / np.sqrt(x)
@@ -428,7 +432,8 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
 
     Reference (asymptote) and error columns are attached per `convention`
     when k > 0 and are NaN otherwise.  For k < 0 the integration stops at
-    the gradient blow-up and the stop position is recorded as breakdown.
+    the gradient blow-up and the stop position is recorded as breakdown; for
+    k >= 0 a blow-up can only be numerical and raises SolverError.
 
     Step control is never looser than scen.rtol/scen.atol.  Over very long
     ranges both jumps decay far below any fixed absolute floor; if the floor
@@ -470,6 +475,11 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     breakdown = None
     if sol.status == 1:
         breakdown = float(sol.t_events[0][0])
+        if scen.k >= 0.0:  # the closed form decays: no breakdown exists
+            raise SolverError(
+                f"integration left the decaying branch near x = {breakdown}; "
+                f"tighten rtol (now {scen.rtol})"
+            )
     x = sol.t
     p = sol.y[0].copy()
     px = sol.y[1].copy()

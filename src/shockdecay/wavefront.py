@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .core import (
     GasParams,
@@ -38,17 +37,16 @@ from .core import (
 from .errors import DomainError, FittingError, VacuumError
 
 ROOT_RESIDUAL_TOL = 1e-13
-# Fraction of the pulse grid used for the cumulative quadrature cache.
-_CACHE_PANELS = 512
 
 
 class BoundaryPulse:
-    """Boundary velocity pulse v(tau) on [0, tau0], with cached integral.
+    """Boundary velocity pulse v(tau) on [0, tau0], with its integral.
 
     v: callable tau -> velocity; tau0: duration with v(tau0) = 0;
     vdot0: slope at the head (estimated if not supplied);
-    integral: exact antiderivative with integral(0) = 0 (optional; a
-    cumulative adaptive-quadrature cache is built when absent).
+    integral: exact antiderivative (optional; adaptive quadrature from 0
+    when absent).  v and integral are called with scalars and with numpy
+    arrays of tau, so both must be vectorized.
     """
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
@@ -63,28 +61,22 @@ class BoundaryPulse:
             step = 1e-6 * self.tau0
             vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
         self.vdot0 = float(vdot0)
-        self._integral = integral
         if integral is None:
-            self._grid = np.linspace(0.0, self.tau0, _CACHE_PANELS + 1)
-            panels = [
-                quad(v, lo, hi, epsabs=1e-12, limit=200)[0]
-                for lo, hi in zip(self._grid[:-1], self._grid[1:])
-            ]
-            self._cumulative = np.concatenate(([0.0], np.cumsum(panels)))
+            integral = np.vectorize(
+                lambda tau: quad(v, 0.0, tau, epsabs=1e-12, limit=200)[0], otypes=[float]
+            )
+        self._integral = integral
         self.b = self.v_integral(self.tau0)
         if not (math.isfinite(self.vdot0) and math.isfinite(self.b)):
             raise DomainError("pulse head slope and pulse integral must be finite")
 
     def v_integral(self, tau):
-        """Cumulative integral of v from 0 to tau (tau in [0, tau0])."""
-        if tau < 0.0 or tau > self.tau0 * (1.0 + 1e-12):
+        """Cumulative integral of v from 0 to tau (scalar or array in [0, tau0])."""
+        tau = np.asarray(tau, dtype=float)
+        if np.any((tau < 0.0) | (tau > self.tau0 * (1.0 + 1e-12))):
             raise DomainError("tau outside the pulse support [0, tau0]")
-        tau = min(tau, self.tau0)
-        if self._integral is not None:
-            return self._integral(tau) - self._integral(0.0)
-        i = min(np.searchsorted(self._grid, tau, side="right") - 1, _CACHE_PANELS - 1)
-        tail = quad(self.v, self._grid[i], tau, epsabs=1e-12, limit=200)[0]
-        return float(self._cumulative[i] + tail)
+        tau = np.minimum(tau, self.tau0)
+        return as_scalar(self._integral(tau) - self._integral(0.0))
 
     @classmethod
     def half_sine(cls, v0, tau0):
@@ -132,6 +124,7 @@ class BoundaryPulse:
             interp,
             taus[-1],
             vdot0=float(interp.derivative()(0.0)),
+            integral=interp.antiderivative(),
             label="table",
         )
 
@@ -210,11 +203,14 @@ def _gradient_shape(x, s, tau0, geom):
 def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     """Fit the lead shock at each grid position.
 
-    x_grid must be strictly increasing with x_grid[0] > 1.  At each x the
-    smallest positive root tau_-(x) of the equal-area rule is located by a
-    sign-change scan (first point) or continued from the previous root
-    (warm-started bracket), then polished to |F| < 1e-13 or until the
-    bracket closes to adjacent doubles.
+    x_grid must be strictly increasing with x_grid[0] > 1.  With
+    B(tau) = int_0^tau v, the equal-area rule reads F(tau) <= 0 exactly
+    when J(x) <= R(tau) := 4 B(tau)/((gamma+1) v(tau)^2), so the smallest
+    root tau_-(x) lies in the first cell of a uniform tau scan where the
+    running maximum of R reaches J(x).  All those cells are then bisected
+    together on the sign of F until they close to adjacent doubles.  A peak
+    of R narrower than the scan spacing tau0/399 can be missed, and with it
+    the roots it holds.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
@@ -222,43 +218,39 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     if x_grid[0] <= 1.0 or np.any(np.diff(x_grid) <= 0.0):
         raise DomainError("x_grid must be strictly increasing with x_grid[0] > 1")
     x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
+    if x_grid[0] <= x_form:
+        raise FittingError(
+            f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
+            f"at x = {x_form}"
+        )
     g = gas.gamma
+    c = 0.25 * (g + 1.0)
     tau0 = pulse.tau0
+    J = ray_integral(x_grid, geom)
 
-    taus = np.empty_like(x_grid)
-    tau_prev = 0.0
-    for i, x in enumerate(x_grid):
-        J = ray_integral(x, geom)
+    scan = np.linspace(0.0, tau0, 400)
+    cv2 = c * pulse.v(scan[1:]) ** 2
+    B = pulse.v_integral(scan[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
+    cell = np.searchsorted(np.maximum.accumulate(R), J)
+    if cell[-1] == R.size:
+        x_bad = x_grid[np.argmax(cell == R.size)]
+        raise FittingError(f"no root in (0, {tau0}] at x = {x_bad}")
+    lo, hi = scan[cell], scan[cell + 1]  # F > 0 just above lo, F(hi) <= 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        split = (lo < mid) & (mid < hi)
+        if not split.any():
+            break
+        above = c * pulse.v(mid) ** 2 * J - pulse.v_integral(mid) > 0.0
+        lo = np.where(split & above, mid, lo)
+        hi = np.where(split & ~above, mid, hi)
+    taus = hi
 
-        def F(tau):
-            return 0.25 * (g + 1.0) * pulse.v(tau) ** 2 * J - pulse.v_integral(tau)
-
-        if i == 0:
-            lo, hi = _first_bracket(F, tau0, x, x_form)
-            flo = F(lo)
-        else:
-            lo, hi = tau_prev, tau0
-            # F at the previous root is >= 0 up to the polish residual; a
-            # tiny negative value means the root has not moved resolvably.
-            flo = F(lo)
-            if flo <= 0.0 and abs(flo) >= ROOT_RESIDUAL_TOL:
-                raise FittingError(f"no root in ({lo}, {tau0}] at x = {x}")
-        if flo <= 0.0:
-            root = lo
-        else:
-            root = brentq(F, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-            root = _polish_bisect(F, lo, hi, root)
-        if root < tau_prev:
-            raise FittingError(
-                f"fitted wavelet went backwards at x = {x}: {root} < {tau_prev}"
-            )
-        taus[i] = tau_prev = root
-
-    v_tau = np.array([pulse.v(t) for t in taus])
-    shape = psi(x_grid, geom)
-    u_jump = v_tau * shape
-    J_grid = ray_integral(x_grid, geom)
-    s = taus + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J_grid
+    v_tau = pulse.v(taus)
+    u_jump = v_tau * psi(x_grid, geom)
+    s = taus + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J
     ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
     ux = np.where(x_grid >= 10.0 * x_form, ux, np.nan)
     return FittedShock(
@@ -270,53 +262,6 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
         tau0=tau0,
         x_formation=x_form,
     )
-
-
-def _first_bracket(F, tau0, x, x_form):
-    """Bracket the smallest positive root of F on (0, tau0]."""
-    if x <= x_form:
-        raise FittingError(
-            f"no overtaking wavelet at x = {x}; the lead shock only forms "
-            f"at x = {x_form}"
-        )
-    scan = np.linspace(0.0, tau0, 400)[1:]
-    values = np.array([F(t) for t in scan])
-    pos = values > 0.0
-    if not pos[0]:
-        # The root sits below the scan resolution: walk down geometrically.
-        t = scan[0]
-        while t > 1e-300:
-            t *= 0.5
-            if F(t) > 0.0:
-                return t, scan[0]
-        raise FittingError(
-            f"no overtaking wavelet at x = {x}; the lead shock only forms "
-            f"at x = {x_form}"
-        )
-    first_neg = np.argmin(pos)  # first index where F <= 0
-    if pos[first_neg]:  # F never returned to zero: no root below tau0
-        raise FittingError(f"no root in (0, {tau0}] at x = {x}")
-    return scan[first_neg - 1], scan[first_neg]
-
-
-def _polish_bisect(F, lo, hi, root):
-    """Bisect until the equal-area residual is below ROOT_RESIDUAL_TOL or
-    the bracket [lo, hi] cannot be split further."""
-    if abs(F(root)) < ROOT_RESIDUAL_TOL:
-        return root
-    flo = F(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles
-            return mid
-        fmid = F(mid)
-        if abs(fmid) < ROOT_RESIDUAL_TOL:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):

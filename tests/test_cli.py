@@ -64,6 +64,15 @@ def test_evolve_breakdown_note(capsys):
     assert "1.8333333" in out
 
 
+def test_evolve_spurious_blowup_is_numerical_failure(capsys):
+    # k > 0 decays; a blow-up seen at a loose rtol is the solver leaving the
+    # decaying branch, not a breakdown.
+    assert main(["evolve", "--rtol", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "breakdown" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
 def test_evolve_rejects_bad_flags(tmp_path):
     assert main(["evolve", "--x-end", "-5"]) == 2
     assert main(["evolve", "--geometry", "toroidal"]) == 2
@@ -114,6 +123,11 @@ def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
         ["evolve", "--rtol", "inf"],
         ["ccw", "--rtol", "inf"],
         ["fit-shock", "--tau0", "inf"],
+        # Finite but out of range: a subnormal k overflows the decay
+        # amplitude, and x_end above MAX_X_END would not finish.
+        ["asymptote", "--k", "1e-320"],
+        ["evolve", "--x-end", "1e300"],
+        ["ccw", "--x-end", "1e300"],
     ],
 )
 def test_non_finite_input_is_config_error(argv, capsys):

@@ -33,6 +33,7 @@ from shockdecay import (
     t_matrix_derivatives,
 )
 from shockdecay.transport import (
+    MAX_X_END,
     REFERENCE_CASES,
     REFERENCE_X,
     ShockHistory,
@@ -281,6 +282,8 @@ def test_asymptotic_law_structure():
     assert px == pytest.approx(0.008333333333333333, rel=1e-14)
     with pytest.raises(DomainError):
         asymptotic_law(10.0, 0.32, -1.0, GAS, PLANAR)
+    with pytest.raises(DomainError):  # sqrt(2/((gamma+1)k)) overflows
+        asymptotic_law(10.0, 0.32, 1e-320, GAS, PLANAR)
 
 
 def test_leading_order_reference_properties():
@@ -418,6 +421,9 @@ def test_history_csv_roundtrip(tmp_path):
 def test_scenario_validation():
     with pytest.raises(DomainError):
         Scenario(gas=GAS, geom=PLANAR, h=0.1, k=1.0, x_end=0.5)
+    Scenario(gas=GAS, geom=PLANAR, x_end=MAX_X_END)  # the bound is inclusive
+    with pytest.raises(DomainError):
+        Scenario(gas=GAS, geom=PLANAR, x_end=np.nextafter(MAX_X_END, np.inf))
     with pytest.raises(DomainError):
         Scenario(gas=GAS, geom=PLANAR, h=-0.1, k=1.0, x_end=10.0)
     with pytest.raises(DomainError):

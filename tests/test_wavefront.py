@@ -3,14 +3,17 @@
 Oracles used here, all recomputed from scratch:
   - pulse integrals against adaptive quadrature;
   - the fitted shock position: the area rule (the integral of the pulse up
-    to the overtaken wavelet balances the quadratic fan term) and the
-    kinematic speed law ds/dx = 1 - (gamma+1)/4 * v(tau-) * psi(x);
+    to the overtaken wavelet balances the quadratic fan term), its smallest
+    root by a test-side scan and brentq on scipy's PCHIP antiderivative,
+    and the kinematic speed law ds/dx = 1 - (gamma+1)/4 * v(tau-) * psi(x);
   - the carried state: exact isentropy and a conserved rearward invariant.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from shockdecay import (
     BoundaryPulse,
@@ -184,6 +187,107 @@ def test_fit_shock_far_range_is_exact_and_cheap():
     r = 4.0 / ((GAS.gamma + 1.0) * w * v0 * ray_integral(x, PLANAR))
     tau = (np.pi - 2.0 * np.arcsin(np.sqrt(0.5 * r))) / w
     np.testing.assert_allclose(fitted.tau_minus, tau, rtol=1e-12)
+
+
+def _table_pulse():
+    taus = np.linspace(0.0, 1.0, 41)
+    return taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.5 * taus)
+
+
+@pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
+def test_table_pulse_fit_is_exact_pchip_root(geom):
+    # Oracle: the smallest root of F built on scipy's own PCHIP
+    # antiderivative, bracketed by a test-side scan and found by brentq.
+    taus, values = _table_pulse()
+    pulse = BoundaryPulse.from_table(taus, values)
+    v = PchipInterpolator(taus, values)
+    B = v.antiderivative()
+    assert pulse.b == pytest.approx(B(1.0), rel=1e-15)
+    x = np.geomspace(1.1 * formation_distance(pulse, GAS, geom), 1e12, 100)
+    fitted = fit_shock(pulse, GAS, geom, x)
+    scan = np.linspace(0.0, 1.0, 4001)
+    for xi, tau in zip(x, fitted.tau_minus):
+        J = ray_integral(xi, geom)
+
+        def F(t):
+            return 0.25 * (GAS.gamma + 1.0) * v(t) ** 2 * J - B(t)
+
+        i = np.argmax(F(scan[1:]) <= 0.0)
+        assert i > 0  # F(scan[i]) > 0 >= F(scan[i + 1]) brackets the root
+        ref = brentq(F, scan[i], scan[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert tau == pytest.approx(ref, rel=1e-13)
+
+
+def _counted_v_integral(pulse):
+    calls = [0]
+    v_integral = pulse.v_integral
+
+    def counted(tau):
+        calls[0] += 1
+        return v_integral(tau)
+
+    pulse.v_integral = counted
+    return calls
+
+
+@pytest.mark.parametrize("n", [120, 1200])
+@pytest.mark.parametrize("kind", ["half-sine", "ramp", "table"])
+def test_fit_shock_cost_is_independent_of_grid_size(kind, n):
+    if kind == "half-sine":
+        pulse = BoundaryPulse.half_sine(0.05, 1.0)
+    elif kind == "ramp":
+        pulse = BoundaryPulse.linear_ramp(0.05, 1.0)
+    else:
+        pulse = BoundaryPulse.from_table(*_table_pulse())
+    calls = _counted_v_integral(pulse)
+    x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e12, n)
+    fit_shock(pulse, GAS, PLANAR, x)
+    assert calls[0] < 100
+
+
+def test_quadrature_fallback_pulse_fits_like_exact_integral():
+    # v = v0 (sin + sin^3)(pi tau): compressive head, and an antiderivative
+    # that the fallback replaces by adaptive quadrature.
+    v0, w = 0.05, np.pi
+
+    def v(tau):
+        return v0 * (np.sin(w * tau) + np.sin(w * tau) ** 3)
+
+    def integral(tau):
+        c = np.cos(w * tau)
+        return v0 / w * (2.0 * (1.0 - c) - (1.0 - c**3) / 3.0)
+
+    exact = BoundaryPulse(v, 1.0, vdot0=v0 * w, integral=integral)
+    fallback = BoundaryPulse(v, 1.0, vdot0=v0 * w)
+    assert fallback.b == pytest.approx(exact.b, rel=1e-13)
+    for geom in (PLANAR, SPH):
+        x = np.geomspace(1.1 * formation_distance(exact, GAS, geom), 1e8, 40)
+        np.testing.assert_allclose(
+            fit_shock(fallback, GAS, geom, x).tau_minus,
+            fit_shock(exact, GAS, geom, x).tau_minus,
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+def test_two_hump_pulse_takes_smallest_root():
+    # A dip between two humps makes R(tau) = 4B/((gamma+1)v^2) peak there,
+    # so F has several roots at the same x; tau_- must be the smallest.
+    taus = np.linspace(0.0, 1.0, 81)
+    sine = np.sin(np.pi * taus)
+    values = 0.05 * sine * (1.0 - 0.8 * sine**2)
+    pulse = BoundaryPulse.from_table(taus, values)
+    x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e6, 200)
+    fitted = fit_shock(pulse, GAS, PLANAR, x)
+    later_roots = False
+    for xi, tau in zip(x, fitted.tau_minus):
+        below = tau * np.linspace(0.0, 1.0, 2001)[1:-1]
+        assert np.all(area_rule_residual(pulse, GAS, PLANAR, xi, below) > 0.0)
+        above = np.linspace(tau, 1.0, 2001)[1:-1]
+        later_roots |= np.any(area_rule_residual(pulse, GAS, PLANAR, xi, above) > 0.0)
+    assert later_roots
+    assert np.all(np.diff(fitted.tau_minus) >= 0.0)
+    assert fitted.tau_minus[0] < 0.5 < fitted.tau_minus[-1]  # crosses the dip
 
 
 def test_fit_shock_speed_law():
