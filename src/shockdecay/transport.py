@@ -44,7 +44,8 @@ from .core import (
 )
 from .errors import BreakdownError, DomainError, SingularCoefficientError, SolverError
 
-# Gradient magnitude treated as numerically infinite by the blow-up detector.
+# Size of -x [p_x] the blow-up detector treats as infinite: near breakdown
+# [p_x] ~ -1/((gamma+1)(x* - x)), so it is met at (x* - x)/x ~ 1e-11 for any x*.
 BLOWUP_THRESHOLD = 1e10
 # Largest accepted x_end (inclusive): the solver's cost grows with the range.
 MAX_X_END = 1e18
@@ -453,7 +454,7 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
         return (-c * p * px - om * p, -2.0 * c * px * px - om * px)
 
     def blowup(x, y):
-        return y[1] + BLOWUP_THRESHOLD
+        return x * y[1] + BLOWUP_THRESHOLD
 
     blowup.terminal = True
     blowup.direction = -1

@@ -6,14 +6,18 @@ geometric part of the strength transport equation, i.e.
 by independent code paths.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from shockdecay import (
     CcwVariant,
     DomainError,
     GasParams,
     Geometry,
+    SolverError,
     first_order_coefficients,
     g_classic,
     g_generalized,
@@ -21,9 +25,11 @@ from shockdecay import (
     jumps_from_mach,
     mach_from_p_jump,
 )
+from shockdecay import ccw
 from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory
 
 GAS = GasParams(1.4)
+COEFFICIENT = {CcwVariant.CLASSIC: g_classic, CcwVariant.GENERALIZED: g_generalized}
 
 
 def test_weak_limits_approach_four():
@@ -112,9 +118,62 @@ def test_variant_gap_small_for_weak_fronts():
         assert gap < bound
 
 
+def _log_x(U, U0, gas, j, variant):
+    """log x at each U: j log x = int f over s = log(U - 1), f = U g(U)/(U + 1)."""
+
+    def f(s):
+        u = 1.0 + math.exp(s)
+        return u * COEFFICIENT[variant](u, gas) / (u + 1.0)
+
+    s = np.log(np.concatenate(([U0], U)) - 1.0)
+    parts = [quad(f, b, a, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for a, b in zip(s, s[1:])]
+    return np.cumsum(parts) / j
+
+
+@pytest.mark.parametrize("variant", list(CcwVariant))
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+def test_history_matches_separable_quadrature(variant, j, gamma):
+    gas = GasParams(gamma)
+    for U0 in (1.0001, 1.5, 10.0, 1e3):
+        for n_samples, x_end in ((2, 1e3), (7, 1e18), (200, 1e18)):
+            hist = integrate_ccw(U0, gas, Geometry(j), x_end, variant, n_samples)
+            xs = np.geomspace(1.0, x_end, n_samples)
+            np.testing.assert_array_equal(hist.x, xs[: hist.x.size])
+            assert hist.U[0] == U0
+            U = hist.U[1:]
+            # Rounding U to a double moves log x by |d log x/dU| * ulp(U)/2.
+            slope = U * COEFFICIENT[variant](U, gas) / (j * (U * U - 1.0))
+            allowance = slope * 0.5 * np.spacing(U)
+            err = np.abs(_log_x(U, U0, gas, j, variant) - np.log(hist.x[1:])) - allowance
+            assert np.all(err <= 1e-12)
+
+
+@pytest.mark.parametrize("U0, j", [(1.0001, 1), (1.0001, 2), (1.02, 2), (10.0, 2)])
+def test_history_stops_at_weak_limit_floor(U0, j):
+    # The last row is above the floor and the next sample lies past it.
+    xs = np.geomspace(1.0, 1e18, 200)
+    hist = integrate_ccw(U0, GAS, Geometry(j), 1e18, CcwVariant.GENERALIZED, 200)
+    n = hist.x.size
+    assert n < xs.size
+    assert hist.U[-1] - 1.0 >= WEAK_LIMIT_FLOOR
+    floor = _log_x(np.array([1.0 + WEAK_LIMIT_FLOOR]), U0, GAS, j, CcwVariant.GENERALIZED)
+    assert np.log(xs[n]) > floor[0]
+
+
+def test_newton_cap_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(ccw, "_NEWTON_CAP", 1)
+    with pytest.raises(SolverError):
+        integrate_ccw(1.5, GAS, Geometry(2), x_end=100.0)
+
+
 def test_integrate_ccw_validation():
     with pytest.raises(DomainError):
         integrate_ccw(1.0, GAS, Geometry(1))
+    with pytest.raises(DomainError):  # at the weak-limit floor already
+        integrate_ccw(1.0 + 1e-12, GAS, Geometry(2))
+    with pytest.raises(DomainError):  # g(U) overflows at U^2 > 1.8e308
+        integrate_ccw(1e200, GAS, Geometry(2))
     with pytest.raises(DomainError):
         integrate_ccw(1.5, GAS, Geometry(1), x_end=0.5)
     with pytest.raises(DomainError):

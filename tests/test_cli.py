@@ -13,7 +13,7 @@ import pytest
 
 from shockdecay import GasParams, Geometry, asymptotic_law, cli
 from shockdecay.cli import main
-from shockdecay.transport import CSV_HEADER
+from shockdecay.transport import CSV_HEADER, breakdown_distance
 
 
 def test_no_command_prints_usage():
@@ -73,6 +73,26 @@ def test_evolve_spurious_blowup_is_numerical_failure(capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "geometry, k, x_end",
+    [
+        ("spherical", -0.05, 1e8),
+        ("spherical", -0.08, 1e8),
+        ("spherical", -0.12, 1e8),
+        ("cylindrical", -0.003, 1e12),
+        ("cylindrical", -0.005, 1e12),
+    ],
+)
+def test_evolve_reports_far_out_breakdown(geometry, k, x_end, capsys):
+    # The blow-up lies far out (x* ~ 1e3 to 2e7), where an absolute
+    # threshold on [p_x] is met only closer to x* than one ulp of x.
+    argv = ["evolve", "--geometry", geometry, "--k", str(k), "--x-end", str(x_end)]
+    assert main(argv) == 0
+    line = [s for s in capsys.readouterr().out.splitlines() if "breakdown at x* =" in s]
+    x_star = breakdown_distance(0.1, k, GasParams(1.4), Geometry.from_name(geometry))
+    assert float(line[0].split("=")[-1]) == pytest.approx(x_star, rel=1e-6)
+
+
 def test_evolve_rejects_bad_flags(tmp_path):
     assert main(["evolve", "--x-end", "-5"]) == 2
     assert main(["evolve", "--geometry", "toroidal"]) == 2
@@ -128,6 +148,13 @@ def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
         ["asymptote", "--k", "1e-320"],
         ["evolve", "--x-end", "1e300"],
         ["ccw", "--x-end", "1e300"],
+        # Every command checks rtol, though only the transport solver uses it.
+        ["compare-methods", "--rtol", "inf", "--geometry", "planar"],
+        ["asymptote", "--rtol", "nan"],
+        ["fit-shock", "--rtol", "0"],
+        # A start at the weak-limit floor, and one whose coefficient overflows.
+        ["ccw", "--u0", "1.000000000001", "--geometry", "spherical"],
+        ["ccw", "--u0", "1e200", "--geometry", "spherical"],
     ],
 )
 def test_non_finite_input_is_config_error(argv, capsys):
