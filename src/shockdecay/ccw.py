@@ -38,7 +38,7 @@ def g_classic(U, gas=GasParams()):
     U = np.asarray(U, dtype=float)
     mu, nu = mu_nu(U, gas)
     out = (1.0 + 2.0 * np.sqrt(mu / nu) + U**-2.0) * (
-        1.0 + (U * U - 1.0) / np.sqrt(mu * nu)
+        1.0 + (U * U - 1.0) / (np.sqrt(mu) * np.sqrt(nu))  # mu*nu ~ U^4 overflows
     )
     return as_scalar(out)
 

@@ -23,7 +23,7 @@ class BreakdownError(ShockError, RuntimeError):
 
 
 class SolverError(ShockError, RuntimeError):
-    """An ODE integration failed to reach the requested endpoint."""
+    """A numerical method failed to produce its result (iteration cap, missing sample)."""
 
 
 class FittingError(ShockError, RuntimeError):

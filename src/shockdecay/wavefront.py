@@ -46,8 +46,11 @@ class BoundaryPulse:
     vdot0: slope at the head (estimated if not supplied);
     integral: exact antiderivative (optional; adaptive quadrature from 0
     when absent).  v and integral are called with scalars and with numpy
-    arrays of tau, so both must be vectorized.
+    arrays of tau, so both must be vectorized.  knots holds the samples of a
+    table pulse, where the extrema of its interpolant sit.
     """
+
+    knots = ()
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
         if not 0.0 < tau0 < math.inf:
@@ -120,13 +123,15 @@ class BoundaryPulse:
         if abs(values[0]) > 1e-9 * scale or abs(values[-1]) > 1e-9 * scale:
             raise DomainError("pulse table must vanish at both ends")
         interp = PchipInterpolator(taus, values)
-        return cls(
+        pulse = cls(
             interp,
             taus[-1],
             vdot0=float(interp.derivative()(0.0)),
             integral=interp.antiderivative(),
             label="table",
         )
+        pulse.knots = taus
+        return pulse
 
     @classmethod
     def from_csv(cls, path):
@@ -206,11 +211,12 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     x_grid must be strictly increasing with x_grid[0] > 1.  With
     B(tau) = int_0^tau v, the equal-area rule reads F(tau) <= 0 exactly
     when J(x) <= R(tau) := 4 B(tau)/((gamma+1) v(tau)^2), so the smallest
-    root tau_-(x) lies in the first cell of a uniform tau scan where the
-    running maximum of R reaches J(x).  All those cells are then bisected
-    together on the sign of F until they close to adjacent doubles.  A peak
-    of R narrower than the scan spacing tau0/399 can be missed, and with it
-    the roots it holds.
+    root tau_-(x) lies in the first cell of a tau scan where the running
+    maximum of R reaches J(x).  All those cells are then bisected together
+    on the sign of F until they close to adjacent doubles.  The scan is
+    uniform with spacing tau0/399 and holds the pulse knots, where a table
+    pulse puts its sharp features; a peak of R narrower than the spacing
+    and away from every knot can still be missed.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
@@ -228,7 +234,7 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     tau0 = pulse.tau0
     J = ray_integral(x_grid, geom)
 
-    scan = np.linspace(0.0, tau0, 400)
+    scan = np.union1d(np.linspace(0.0, tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
     B = pulse.v_integral(scan[1:])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -149,6 +149,42 @@ def test_history_matches_separable_quadrature(variant, j, gamma):
             assert np.all(err <= 1e-12)
 
 
+def test_classic_coefficient_is_finite_and_monotone_at_large_mach():
+    # mu*nu ~ U^4 overflows near U = 4e76; g must keep falling to its limit
+    # (1 + 2 sqrt((g-1)/(2g))) (1 + 1/sqrt(2g(g-1))) instead of dropping.
+    U = np.geomspace(1.0, 1e150, 2001)
+    g = g_classic(U, GAS)
+    assert np.all(np.isfinite(g))
+    assert np.all(np.diff(g) <= 4.0 * np.finfo(float).eps * g[1:])
+    gamma = GAS.gamma
+    limit = (1.0 + 2.0 * math.sqrt((gamma - 1.0) / (2.0 * gamma))) * (
+        1.0 + 1.0 / math.sqrt(2.0 * gamma * (gamma - 1.0))
+    )
+    assert g[-1] == pytest.approx(limit, rel=1e-14)
+
+
+def test_classic_history_from_huge_mach_matches_quadrature():
+    # The oracle writes g in powers of 1/U^2, so nothing in it overflows.
+    gamma = GAS.gamma
+
+    def g_scaled(u):
+        w = u**-2.0
+        mu, nu = gamma - 1.0 + 2.0 * w, 2.0 * gamma + (1.0 - gamma) * w
+        return (1.0 + 2.0 * math.sqrt(mu / nu) + w) * (1.0 + (1.0 - w) / math.sqrt(mu * nu))
+
+    def f(s):
+        u = 1.0 + math.exp(s)
+        return u * g_scaled(u) / (u + 1.0)
+
+    U0, j = 1e80, 2
+    hist = integrate_ccw(U0, GAS, Geometry(j), 1e18, CcwVariant.CLASSIC, 60)
+    assert hist.U[-1] < 1e76  # the run crosses U ~ 4e76, where mu*nu overflowed
+    s = np.log(np.concatenate(([U0], hist.U[1:])) - 1.0)
+    parts = [quad(f, b, a, epsabs=1e-14, epsrel=1e-13, limit=200)[0] for a, b in zip(s, s[1:])]
+    log_x = np.cumsum(parts) / j
+    np.testing.assert_allclose(log_x, np.log(hist.x[1:]), rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("U0, j", [(1.0001, 1), (1.0001, 2), (1.02, 2), (10.0, 2)])
 def test_history_stops_at_weak_limit_floor(U0, j):
     # The last row is above the floor and the next sample lies past it.

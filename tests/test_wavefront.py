@@ -290,6 +290,20 @@ def test_two_hump_pulse_takes_smallest_root():
     assert fitted.tau_minus[0] < 0.5 < fitted.tau_minus[-1]  # crosses the dip
 
 
+def test_narrow_peak_at_a_knot_takes_smallest_root():
+    # |sin 2 pi tau| has a corner at the knot tau = 0.5, so R peaks there
+    # (R ~ 1170) in a spike far narrower than the uniform scan spacing.
+    taus = np.linspace(0.0, 1.0, 81)
+    values = 0.05 * (np.abs(np.sin(2.0 * np.pi * taus)) + 0.1 * np.sin(np.pi * taus))
+    pulse = BoundaryPulse.from_table(taus, values)
+    x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e6, 200)
+    fitted = fit_shock(pulse, GAS, PLANAR, x)
+    for xi, tau in zip(x, fitted.tau_minus):
+        below = np.union1d(tau * np.linspace(0.0, 1.0, 2001)[1:-1], taus[taus < tau][1:])
+        assert np.all(area_rule_residual(pulse, GAS, PLANAR, xi, below) > 0.0), xi
+    assert np.all(np.diff(fitted.tau_minus) >= 0.0)
+
+
 def test_fit_shock_speed_law():
     # The fitted arrival time s(x) must obey the front kinematics
     # ds/dx = 1 - (gamma+1)/4 * v(tau-) * psi(x).
