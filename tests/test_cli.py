@@ -131,12 +131,17 @@ def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
         ["asymptote", "--h", "nan"],
         ["asymptote", "--k", "inf"],
         ["evolve", "--gamma", "inf"],
+        ["evolve", "--h", "inf"],
+        ["ccw", "--gamma", "nan"],
         ["fit-shock", "--tau0", "inf"],
         # Finite but out of range: a subnormal k overflows the decay
         # amplitude, and x_end above MAX_X_END is outside the checked range.
         ["asymptote", "--k", "1e-320"],
         ["evolve", "--x-end", "1e300"],
         ["ccw", "--x-end", "1e300"],
+        ["compare-methods", "--k", "inf", "--geometry", "planar"],
+        ["asymptote", "--x-end", "nan"],
+        ["fit-shock", "--x-end", "nan"],
         # A start at the weak-limit floor, and one whose coefficient overflows.
         ["ccw", "--u0", "1.000000000001", "--geometry", "spherical"],
         ["ccw", "--u0", "1e200", "--geometry", "spherical"],
