@@ -18,13 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GasParams, Geometry, as_scalar, jumps_from_mach, mu_nu, write_csv
+from .core import (
+    GasParams,
+    Geometry,
+    as_scalar,
+    gauss_legendre,
+    jumps_from_mach,
+    mu_nu,
+    write_csv,
+)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
 # effectively degenerated into a sound wave).
 WEAK_LIMIT_FLOOR = 1e-10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _NEWTON_CAP = 50  # 3-4 steps suffice from the linear guess; more means a cycle
 
 
@@ -102,15 +109,10 @@ def integrate_ccw(
         U = 1.0 + np.exp(s)
         return U * coeff(U, gas) / (U + 1.0)
 
-    def integral(a, b):
-        """int_a^b f, elementwise."""
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * (f(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
-
     s0, s_floor = math.log(U0 - 1.0), math.log(WEAK_LIMIT_FLOOR)
     edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        phi = np.concatenate(([0.0], np.cumsum(integral(edges[1:], edges[:-1]))))
+        phi = np.concatenate(([0.0], np.cumsum(gauss_legendre(f, edges[1:], edges[:-1]))))
     if not np.isfinite(phi[-1]):
         raise DomainError(f"the decay coefficient overflows for U0 = {U0}")
     xs = np.geomspace(1.0, x_end, n_samples)
@@ -119,7 +121,7 @@ def integrate_ccw(
     panel = np.minimum(np.searchsorted(phi, target, side="right") - 1, edges.size - 2)
     s = np.interp(target, phi, edges)
     for _ in range(_NEWTON_CAP):
-        step = (phi[panel] + integral(s, edges[panel]) - target) / f(s)
+        step = (phi[panel] + gauss_legendre(f, s, edges[panel]) - target) / f(s)
         s += step
         # Phi(s) carries rounding of order eps * target, and s its own.
         if np.all(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s) + target)):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError
 
 GEOMETRY_NAMES = {"planar": 0, "cylindrical": 1, "spherical": 2}
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,12 @@ def as_scalar(*values):
     """Each 0-d value as a Python float, arrays unchanged; one value unpacked."""
     out = tuple(float(v) if np.ndim(v) == 0 else v for v in values)
     return out[0] if len(out) == 1 else out
+
+
+def gauss_legendre(f, a, b):
+    """8-point Gauss-Legendre value of int_a^b f, elementwise over numpy a, b."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * (f(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
 def write_csv(dest, header, columns):

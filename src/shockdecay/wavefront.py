@@ -17,18 +17,18 @@ u solves u (1 + (gamma-1)u/2)^(2/(gamma-1)) = v(tau) psi(x) and the full
 state (rho, p, a) follows algebraically from u.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .core import (
     GasParams,
     Geometry,
     as_scalar,
     far_field_gradient,
+    gauss_legendre,
     psi,
     ray_integral,
     ray_integral_inverse,
@@ -39,15 +39,84 @@ from .errors import DomainError, FittingError, VacuumError
 ROOT_RESIDUAL_TOL = 1e-13
 
 
+def _pchip(x, y):
+    """scipy's PCHIP through (x, y) (Fritsch & Carlson 1980), in numpy.
+
+    Returns v (knots kept as v.x), its exact piecewise-quartic antiderivative
+    from x[0], and v'(x[0]).  Interior slopes are weighted harmonic means of
+    the adjacent secants, zero where those differ in sign or one vanishes; the
+    end slopes take the three-point shape-preserving rule.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked just below
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[1:-1][(np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)] = 0.0
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    e[np.sign(e) != np.sign(m0)] = 0.0
+    flip = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+    d[[0, -1]] = np.where(flip, 3.0 * m0, e)
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    cubic = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])  # in s = tau - x[k]
+    quartic = tuple(c / p for c, p in zip(cubic, (4.0, 3.0, 2.0, 1.0)))
+    segments = h * (((quartic[0] * h + quartic[1]) * h + quartic[2]) * h + quartic[3])
+    base = np.concatenate(([0.0], np.cumsum(segments[:-1])))
+    inner = x[1:-1]
+
+    def horner(coeffs, tau):
+        k = np.searchsorted(inner, tau, side="right")  # segment, clamped to the ends
+        s, out = tau - x.take(k), coeffs[0].take(k)
+        for c in coeffs[1:]:
+            out *= s
+            out += c.take(k)
+        return out
+
+    v = functools.partial(horner, cubic)
+    v.x = x
+    return v, functools.partial(horner, quartic + (base,)), d[0]
+
+
+def _panel_integral(v, tau0):
+    """Antiderivative of v from 0 on adaptive 8-point Gauss-Legendre panels.
+
+    Every panel whose value differs from the sum over its halves by more than
+    1e-13 of int |v| is halved, all at once, until none is; a lookup adds the
+    panels below tau to one partial panel.
+    """
+    edges = np.linspace(0.0, tau0, 9)
+    for _ in range(60):
+        a, b = edges[:-1], edges[1:]
+        mid = 0.5 * (a + b)
+        whole = gauss_legendre(v, a, b)
+        halves = gauss_legendre(v, a, mid) + gauss_legendre(v, mid, b)
+        bad = np.abs(whole - halves) > 1e-13 * np.sum(np.abs(halves))
+        if not bad.any() or edges.size > 4096:
+            break
+        edges = np.insert(edges, np.flatnonzero(bad) + 1, mid[bad])
+    if bad.any():
+        raise DomainError("pulse integral unconverged in 4096 panels")
+    base = np.concatenate(([0.0], np.cumsum(whole[:-1])))
+    inner = edges[1:-1]
+
+    def integral(tau):
+        k = np.searchsorted(inner, tau, side="right")  # panel, clamped to the ends
+        return base.take(k) + gauss_legendre(v, edges.take(k), tau)
+
+    return integral
+
+
 class BoundaryPulse:
     """Boundary velocity pulse v(tau) on [0, tau0], with its integral.
 
     v: callable tau -> velocity; tau0: duration with v(tau0) = 0;
     vdot0: slope at the head (estimated if not supplied);
-    integral: exact antiderivative (optional; adaptive quadrature from 0
-    when absent).  v and integral are called with scalars and with numpy
-    arrays of tau, so both must be vectorized.  knots holds the samples of a
-    table pulse, where the extrema of its interpolant sit.
+    integral: exact antiderivative (optional; tabulated once on adaptive
+    Gauss-Legendre panels when absent).  v and integral are called with
+    scalars and with numpy arrays of tau, so both must be vectorized.  knots
+    holds the samples of a table pulse, where the extrema of its interpolant sit.
     """
 
     knots = ()
@@ -64,11 +133,8 @@ class BoundaryPulse:
             step = 1e-6 * self.tau0
             vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
         self.vdot0 = float(vdot0)
-        if integral is None:
-            integral = np.vectorize(
-                lambda tau: quad(v, 0.0, tau, epsabs=1e-12, limit=200)[0], otypes=[float]
-            )
-        self._integral = integral
+        self._integral = _panel_integral(v, self.tau0) if integral is None else integral
+        self._b0 = self._integral(0.0)
         self.b = self.v_integral(self.tau0)
         if not (math.isfinite(self.vdot0) and math.isfinite(self.b)):
             raise DomainError("pulse head slope and pulse integral must be finite")
@@ -79,7 +145,7 @@ class BoundaryPulse:
         if np.any((tau < 0.0) | (tau > self.tau0 * (1.0 + 1e-12))):
             raise DomainError("tau outside the pulse support [0, tau0]")
         tau = np.minimum(tau, self.tau0)
-        return as_scalar(self._integral(tau) - self._integral(0.0))
+        return as_scalar(self._integral(tau) - self._b0)
 
     @classmethod
     def half_sine(cls, v0, tau0):
@@ -122,14 +188,8 @@ class BoundaryPulse:
             raise DomainError("pulse table is identically zero")
         if abs(values[0]) > 1e-9 * scale or abs(values[-1]) > 1e-9 * scale:
             raise DomainError("pulse table must vanish at both ends")
-        interp = PchipInterpolator(taus, values)
-        pulse = cls(
-            interp,
-            taus[-1],
-            vdot0=float(interp.derivative()(0.0)),
-            integral=interp.antiderivative(),
-            label="table",
-        )
+        v, integral, vdot0 = _pchip(taus, values)
+        pulse = cls(v, taus[-1], vdot0=vdot0, integral=integral, label="table")
         pulse.knots = taus
         return pulse
 

@@ -9,7 +9,6 @@ quantities, independently of the coefficient formulas under test.
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from shockdecay import (
     AsymptoteConvention,
@@ -40,6 +39,7 @@ from shockdecay.transport import (
     ShockHistory,
     asymptotic_law,
 )
+from transport_oracle import ode_oracle
 
 GAS = GasParams(1.4)
 PLANAR, CYL, SPH = Geometry(0), Geometry(1), Geometry(2)
@@ -326,67 +326,39 @@ def test_breakdown_known_values():
     )
 
 
-def _ode_oracle(scen, xs):
-    """DOP853 on the truncated system, stopped where x [p_x] falls to -1e10."""
-    c = 0.25 * (scen.gas.gamma + 1.0)
-    j = scen.geom.j
-
-    def rhs(x, y):
-        p, px = y
-        om = 0.5 * j / x
-        return (-c * p * px - om * p, -2.0 * c * px * px - om * px)
-
-    def blowup(x, y):
-        return x * y[1] + 1e10
-
-    blowup.terminal = True
-    blowup.direction = -1
-    return solve_ivp(
-        rhs, (1.0, scen.x_end), (scen.h, scen.k), method="DOP853", t_eval=xs,
-        rtol=1e-13, atol=1e-300, events=blowup,
-    )
+# (h, k, x_end): steep, gentle, zero and expansive gradients at h = 0.1, the
+# standard pairs to x = 100, and 18 decades of decay far below any absolute
+# tolerance.  Ids keep "k-x_end" for h = 0.1 and append the other strengths.
+TRANSPORT_CASES = [
+    (0.1, 10.0, 1e18), (0.1, 0.28, 1e18), (0.1, 0.0, 1e18), (0.1, -1.0, 100.0),
+    (0.1, -0.05, 1e8), (0.32, 10.0, 100.0), (0.32, 0.28, 100.0), (0.05, 1.0, 100.0),
+    (0.05, 1.0, 1e18),
+]
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
 @pytest.mark.parametrize(
-    "k, x_end", [(10.0, 1e18), (0.28, 1e18), (0.0, 1e18), (-1.0, 100.0), (-0.05, 1e8)]
+    "h, k, x_end",
+    [
+        pytest.param(h, k, x_end, id=f"{k}-{x_end}" + ("" if h == 0.1 else f"-h{h}"))
+        for h, k, x_end in TRANSPORT_CASES
+    ],
 )
-def test_history_matches_integrated_transport_equations(j, k, x_end):
+def test_history_matches_integrated_transport_equations(j, h, k, x_end):
     # The history is evaluated from the closed form; integrating the
     # transport equations themselves checks that closed form end to end.
-    scen = Scenario(gas=GAS, geom=Geometry(j), h=0.1, k=k, x_end=x_end)
+    scen = Scenario(gas=GAS, geom=Geometry(j), h=h, k=k, x_end=x_end)
     hist = integrate_truncated(scen)
-    sol = _ode_oracle(scen, hist.x)
+    sol = ode_oracle(scen, hist.x)
     assert sol.success
     np.testing.assert_array_equal(sol.t, hist.x)  # same samples before any blow-up
     np.testing.assert_allclose(hist.p_jump, sol.y[0], rtol=1e-8, atol=0.0)
     np.testing.assert_allclose(hist.px_jump, sol.y[1], rtol=1e-8, atol=0.0)
     if sol.status == 1:
-        assert hist.breakdown == breakdown_distance(0.1, k, GAS, Geometry(j))
+        assert hist.breakdown == breakdown_distance(h, k, GAS, Geometry(j))
         assert hist.breakdown == pytest.approx(sol.t_events[0][0], rel=1e-8)
     else:
         assert hist.breakdown is None
-
-
-def test_integration_matches_closed_form():
-    for j in (0, 1, 2):
-        for h, k in ((0.32, 10.0), (0.32, 0.28), (0.05, 1.0)):
-            scen = Scenario(gas=GAS, geom=Geometry(j), h=h, k=k, x_end=100.0)
-            hist = integrate_truncated(scen)
-            p, px = closed_form(hist.x, h, k, GAS, Geometry(j))
-            assert np.max(np.abs(hist.p_jump - p) / p) < 1e-8
-            assert np.max(np.abs(hist.px_jump - px) / px) < 1e-8
-
-
-def test_integration_very_long_range():
-    # The decaying solution must stay under relative error control far
-    # below the nominal absolute tolerance (18 decades of decay).
-    for j in (0, 1, 2):
-        scen = Scenario(gas=GAS, geom=Geometry(j), h=0.05, k=1.0, x_end=1e18)
-        hist = integrate_truncated(scen, n_samples=120)
-        p, px = closed_form(hist.x, 0.05, 1.0, GAS, Geometry(j))
-        assert np.max(np.abs(hist.p_jump - p) / p) < 1e-8
-        assert np.max(np.abs(hist.px_jump - px) / px) < 1e-8
 
 
 def test_integration_records_breakdown():

@@ -1,7 +1,8 @@
 """Tests for boundary pulses, lead-shock fitting and the wavelet-field laws.
 
 Oracles used here, all recomputed from scratch:
-  - pulse integrals against adaptive quadrature;
+  - pulse integrals against adaptive quadrature and exact antiderivatives,
+    table pulses against scipy's PCHIP;
   - the fitted shock position: the area rule (the integral of the pulse up
     to the overtaken wavelet balances the quadratic fan term), its smallest
     root by a test-side scan and brentq on scipy's PCHIP antiderivative,
@@ -194,6 +195,28 @@ def _table_pulse():
     return taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.5 * taus)
 
 
+def test_table_pulse_is_scipy_pchip():
+    # Uneven knots, flat runs, sign changes and steep steps exercise every
+    # branch of the slope rules: the zeroed interior slopes and both end rules.
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        taus = np.concatenate(([0.0], np.cumsum(rng.random(int(rng.integers(2, 40))))))
+        values = rng.standard_normal(taus.size) * (rng.random(taus.size) < 0.7)
+        values[0] = values[-1] = 0.0
+        if not values.any():
+            continue
+        pulse = BoundaryPulse.from_table(taus, values)
+        v = PchipInterpolator(taus, values)
+        B = v.antiderivative()
+        t = np.linspace(0.0, taus[-1], 997)
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(pulse.v(t), v(t), rtol=0.0, atol=1e-15 * scale)
+        np.testing.assert_allclose(
+            pulse.v_integral(t), B(t), rtol=0.0, atol=1e-14 * scale * taus[-1]
+        )
+        assert pulse.vdot0 == v.derivative()(0.0)
+
+
 @pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
 def test_table_pulse_fit_is_exact_pchip_root(geom):
     # Oracle: the smallest root of F built on scipy's own PCHIP
@@ -231,14 +254,16 @@ def _counted_v_integral(pulse):
 
 
 @pytest.mark.parametrize("n", [120, 1200])
-@pytest.mark.parametrize("kind", ["half-sine", "ramp", "table"])
+@pytest.mark.parametrize("kind", ["half-sine", "ramp", "table", "custom"])
 def test_fit_shock_cost_is_independent_of_grid_size(kind, n):
     if kind == "half-sine":
         pulse = BoundaryPulse.half_sine(0.05, 1.0)
     elif kind == "ramp":
         pulse = BoundaryPulse.linear_ramp(0.05, 1.0)
-    else:
+    elif kind == "table":
         pulse = BoundaryPulse.from_table(*_table_pulse())
+    else:  # no integral: each lookup adds one Gauss-Legendre partial panel
+        pulse = BoundaryPulse(_tent(0.05, 1.0 / 3.0)[0], 1.0)
     calls = _counted_v_integral(pulse)
     x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e12, n)
     fit_shock(pulse, GAS, PLANAR, x)
@@ -268,6 +293,50 @@ def test_quadrature_fallback_pulse_fits_like_exact_integral():
             rtol=0.0,
             atol=1e-12,
         )
+
+
+def _tent(v0, apex):
+    """Tent pulse with a corner at apex, and its exact antiderivative."""
+
+    def v(tau):
+        return v0 * np.minimum(tau / apex, (1.0 - tau) / (1.0 - apex))
+
+    def integral(tau):
+        fall = 0.5 * apex + (tau - apex - 0.5 * (tau**2 - apex**2)) / (1.0 - apex)
+        return v0 * np.where(tau < apex, 0.5 * tau**2 / apex, fall)
+
+    return v, integral
+
+
+def test_quadrature_fallback_resolves_a_kink():
+    # The corner at tau = 1/3 never falls on a panel edge, so the panels
+    # around it must be refined until they resolve it.
+    v, integral = _tent(0.05, 1.0 / 3.0)
+    exact = BoundaryPulse(v, 1.0, vdot0=0.15, integral=integral)
+    fallback = BoundaryPulse(v, 1.0, vdot0=0.15)
+    assert fallback.b == pytest.approx(exact.b, rel=1e-12)
+    taus = np.linspace(0.0, 1.0, 1001)
+    np.testing.assert_allclose(
+        fallback.v_integral(taus), exact.v_integral(taus), rtol=0.0, atol=1e-12 * exact.b
+    )
+    for geom in (PLANAR, SPH):
+        x = np.geomspace(1.1 * formation_distance(exact, GAS, geom), 1e8, 40)
+        np.testing.assert_allclose(
+            fit_shock(fallback, GAS, geom, x).tau_minus,
+            fit_shock(exact, GAS, geom, x).tau_minus,
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+def test_quadrature_fallback_refuses_an_unresolvable_pulse():
+    # ~1.6e7 oscillations on [0, 1] need far more panels than the cap allows;
+    # the pulse is refused rather than integrated with unchecked error.
+    def v(tau):
+        return 0.05 * np.sin(np.pi * tau) * (1.0 + 0.5 * np.sin(1e8 * tau))
+
+    with pytest.raises(DomainError, match="panels"):
+        BoundaryPulse(v, 1.0, vdot0=0.05 * np.pi)
 
 
 def test_two_hump_pulse_takes_smallest_root():
