@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     FittingError,
     ShockError,
-    SingularCoefficientError,
     SolverError,
     VacuumError,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "SecondOrderCoefficients",
     "ShockError",
     "ShockHistory",
-    "SingularCoefficientError",
     "SolverError",
     "TMatrix",
     "VacuumError",

@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .ccw import CcwVariant, integrate_ccw
-from .core import GasParams, Geometry, mach_from_p_jump, psi, write_csv
+from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw
+from .core import GasParams, Geometry, mach_from_p_jump, write_csv
 from .errors import ConfigError, DomainError, ShockError, SolverError
 from .transport import (
     MAX_X_END,
@@ -117,7 +117,7 @@ def cmd_evolve(args, config):
     )
     if hist.breakdown is not None:
         print(f"  gradient jump blew up: breakdown at x* = {hist.breakdown:.9g}")
-    elif scen.k > 0:
+    elif scen.k > 0 and scen.h > 0:  # h = 0 is the acceleration wave alone: [p] = 0
         lo = hist.x[-1] / 10.0
         window = hist.x >= lo
         slope = decay_slope(hist.x[window], hist.p_jump[window])
@@ -313,24 +313,16 @@ def _pipeline_wngo(gas, geom, h, x_end, out_dir):
     }
 
 
-def _pipeline_simple_wave(gas, geom, x_end):
-    """Max |inverted - linear| deviation for two pulse amplitudes."""
-    taus = np.linspace(0.0, 1.0, 21)
-    xs = np.geomspace(1.0, x_end, 25)
-    out = {}
-    deviations = []
-    for eps in (1e-2, 1e-3):
-        pulse = BoundaryPulse.half_sine(eps, 1.0)
-        dev = 0.0
-        for x in xs:
-            shape = psi(x, geom)
-            for tau in taus:
-                rhs = pulse.v(tau) * shape
-                dev = max(dev, abs(simple_wave_u(rhs, gas) - rhs))
-        deviations.append(dev)
-        out[f"deviation_{eps:g}"] = dev
-    out["quadratic_ratio"] = deviations[0] / deviations[1]
-    return out
+def _pipeline_simple_wave(gas, geom):
+    """Max |inverted - linear| deviation for two half-sine pulse amplitudes.
+
+    The inversion u(r) of u (1 + (gamma-1)u/2)^(2/(gamma-1)) = r has
+    du/dr < 1, so r - u(r) grows with r: over every x >= 1 and tau the
+    largest deviation |u - v psi| sits at the pulse peak at x = 1, where
+    v psi equals the amplitude eps.  The result is the same for every geometry.
+    """
+    high, low = (abs(simple_wave_u(eps, gas) - eps) for eps in (1e-2, 1e-3))
+    return {"deviation_0.01": high, "deviation_0.001": low, "quadratic_ratio": high / low}
 
 
 def _pipeline_ccw(gas, geom, h, x_end, out_dir):
@@ -371,9 +363,11 @@ def cmd_compare_methods(args, config):
         geometries = [Geometry(0), Geometry(1), Geometry(2)]
     else:
         geometries = [common.geometry()]
-    # Data the transport route rejects is bad input (exit 2), not a partial report.
+    # Data the transport or CCW route rejects is bad input (exit 2), not a partial report.
     for geom in geometries:
         Scenario(gas=common.gas, geom=geom, h=h, k=k, x_end=x_end)
+    if not mach_from_p_jump(h, common.gas) > 1.0 + WEAK_LIMIT_FLOOR:
+        raise ConfigError(f"h = {h} puts the CCW start within {WEAK_LIMIT_FLOOR:g} of U = 1")
     out_dir = args.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -389,7 +383,7 @@ def cmd_compare_methods(args, config):
         pipelines = {
             "transport": (_pipeline_transport, h, k, x_end, out_dir),
             "wngo": (_pipeline_wngo, h, x_end, out_dir),
-            "simple_wave": (_pipeline_simple_wave, x_end),
+            "simple_wave": (_pipeline_simple_wave,),
             "ccw": (_pipeline_ccw, h, x_end, out_dir),
         }
         entry = {}

@@ -179,14 +179,10 @@ def ray_integral_inverse(value, geom=Geometry(0)):
 
 
 def far_field_gradient(x, gas=GasParams(), geom=Geometry(0)):
-    """Far-field gradient jump 2/(gamma+1) * {1/x; 1/(2x); 1/(x log x)}.
+    """Far-field gradient jump 2/(gamma+1) * psi(x) / J_lead(x).
 
-    The law is the same for the transport and the wavefront routes and
-    carries no memory of the initial strength.
+    That is 2/(gamma+1) * {1/x; 1/(2x); 1/(x log x)}.  The law is the same
+    for the transport and the wavefront routes and carries no memory of the
+    initial strength.
     """
-    g = gas.gamma
-    if geom.j == 0:
-        return 2.0 / (g + 1.0) / x
-    if geom.j == 1:
-        return 1.0 / (g + 1.0) / x
-    return 2.0 / (g + 1.0) / (x * np.log(x))
+    return 2.0 / (gas.gamma + 1.0) * np.divide(psi(x, geom), ray_integral_leading(x, geom))

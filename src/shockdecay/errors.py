@@ -14,10 +14,6 @@ class DomainError(ShockError, ValueError):
     """An argument is outside the physical or mathematical domain."""
 
 
-class SingularCoefficientError(ShockError, ValueError):
-    """A coefficient matrix is singular at the requested state."""
-
-
 class BreakdownError(ShockError, RuntimeError):
     """The closed-form amplitude ceased to exist (gradient blow-up)."""
 

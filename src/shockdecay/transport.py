@@ -41,7 +41,7 @@ from .core import (
     ray_integral_leading,
     write_csv,
 )
-from .errors import BreakdownError, DomainError, SingularCoefficientError
+from .errors import BreakdownError, DomainError
 
 # Largest accepted x_end (inclusive): the transport and CCW routes are
 # checked against their oracles up to this range, and not beyond it.
@@ -77,50 +77,65 @@ class SecondOrderCoefficients:
     eta: float
 
 
-def first_order_coefficients(U, gas=GasParams(), omega=0.0):
-    """Transport coefficients for the shock-strength equation.
+def _front_state(U, gas, j, x=1.0):
+    """Validated (omega, mu, nu, D, k11, k12) of a front of Mach number U.
 
-    U: shock Mach number (>= 1); omega: front curvature j/x (>= 0).
-    """
-    if U < 1.0:
-        raise DomainError("shock Mach number must be >= 1")
-    if omega < 0.0:
-        raise DomainError("curvature j/x must be >= 0")
-    g = gas.gamma
-    mu, nu = mu_nu(U, gas)
-    D = U * U * (2.0 * mu + nu) + nu
-    k11 = -2.0 * (U * U - 1.0) * mu / D
-    k12 = -4.0 * (U * U - 1.0) * mu * nu / D * (omega / (g + 1.0) ** 2)
-    return FirstOrderCoefficients(k11, k12)
-
-
-def t_matrix(U, gas=GasParams(), geom=Geometry(0), x=1.0):
-    """Gradient-reconstruction matrix at shock state (U, x).
-
-    The entries are the unique ones for which ([u_x], [rho_x]) built from
-    ([p_x], 1) closes the three governing jump equations; the test suite
-    checks that residual directly.  t12 is evaluated in the reduced form
-    -2*nu*(U^4-1)*Omega / ((gamma+1)*U*D), which removes the spurious
-    0/0 of the raw k12/k11 quotient as U -> 1.
+    omega = j/x is the front curvature; first_order_coefficients, which is
+    given omega itself, passes it as j with x = 1.  k12 takes the reduced
+    form k11 * 2 nu omega/(gamma+1)^2.
     """
     if U < 1.0:
         raise DomainError("shock Mach number must be >= 1")
     if x < 1.0:
         raise DomainError("position must be >= 1")
-    g = gas.gamma
-    omega = geom.j / x
-    if U == 1.0:
-        if geom.j == 0:
-            return TMatrix(1.0, 0.0, 1.0, 0.0)
-        raise SingularCoefficientError(
-            "gradient reconstruction is singular at U = 1 for a curved front"
-        )
+    omega = j / x
+    if omega < 0.0:
+        raise DomainError("curvature j/x must be >= 0")
     mu, nu = mu_nu(U, gas)
     D = U * U * (2.0 * mu + nu) + nu
     k11 = -2.0 * (U * U - 1.0) * mu / D
-    k12 = k11 * 2.0 * nu * omega / (g + 1.0) ** 2
-    t11 = (mu - (g + 1.0) * k11 * U * U) / (nu * U)
-    t12 = -2.0 * nu * (U**4 - 1.0) * omega / ((g + 1.0) * U * D)
+    return omega, mu, nu, D, k11, k11 * 2.0 * nu * omega / (gas.gamma + 1.0) ** 2
+
+
+def first_order_coefficients(U, gas=GasParams(), omega=0.0):
+    """Transport coefficients for the shock-strength equation.
+
+    U: shock Mach number (>= 1); omega: front curvature j/x (>= 0).
+    """
+    *_, k11, k12 = _front_state(U, gas, omega)
+    return FirstOrderCoefficients(k11, k12)
+
+
+def _gradient_map(U, gas, geom, x):
+    """Front state, T, and (dT11/dU, dT12/dU at fixed x, dT12/dx at fixed U)."""
+    state = _front_state(U, gas, geom.j, x)
+    if U == 1.0 and geom.j == 0:  # exact weak limits, which the general forms miss by an ulp
+        return state, TMatrix(1.0, 0.0, 1.0, 0.0), (-2.0, 0.0, 0.0)
+    omega, mu, nu, D, k11, k12 = state
+    g = gas.gamma
+    dmu = 2.0 * (g - 1.0) * U
+    dnu = 4.0 * g * U
+    dD = 2.0 * U * (2.0 * mu + nu) + U * U * (2.0 * dmu + dnu) + dnu
+    dk11 = (
+        -2.0
+        * ((2.0 * U * mu + (U * U - 1.0) * dmu) * D - (U * U - 1.0) * mu * dD)
+        / D**2
+    )
+    # t11 = N/M with N = mu - (g+1) k11 U^2 and M = nu U
+    N = mu - (g + 1.0) * k11 * U * U
+    M = nu * U
+    dN = dmu - (g + 1.0) * (dk11 * U * U + 2.0 * U * k11)
+    dM = dnu * U + nu
+    # t12 = f(U) * omega with f = -2 (U^4 - 1) nu / ((g+1) U D)
+    f = -2.0 * (U**4 - 1.0) * nu / ((g + 1.0) * U * D)
+    df = (
+        -2.0
+        * (
+            (4.0 * U**3 * nu + (U**4 - 1.0) * dnu) * (U * D)
+            - (U**4 - 1.0) * nu * (D + U * dD)
+        )
+        / ((g + 1.0) * (U * D) ** 2)
+    )
     t21 = (
         (g + 1.0) ** 2
         * U
@@ -135,53 +150,25 @@ def t_matrix(U, gas=GasParams(), geom=Geometry(0), x=1.0):
         * ((g + 1.0) ** 2 * (U * U + 3.0) * k12 + 4.0 * mu * (U * U - 1.0) * omega)
         / (2.0 * mu**3)
     )
-    return TMatrix(t11, t12, t21, t22)
+    T = TMatrix(N / M, f * omega, t21, t22)
+    return state, T, ((dN * M - N * dM) / M**2, df * omega, f * (-geom.j / x**2))
+
+
+def t_matrix(U, gas=GasParams(), geom=Geometry(0), x=1.0):
+    """Gradient-reconstruction matrix at shock state (U, x).
+
+    The entries are the unique ones for which ([u_x], [rho_x]) built from
+    ([p_x], 1) closes the three governing jump equations; the test suite
+    checks that residual directly.  t12 is evaluated in the reduced form
+    -2*nu*(U^4-1)*Omega / ((gamma+1)*U*D), which removes the spurious
+    0/0 of the raw k12/k11 quotient as U -> 1.
+    """
+    return _gradient_map(U, gas, geom, x)[1]
 
 
 def t_matrix_derivatives(U, gas=GasParams(), geom=Geometry(0), x=1.0):
     """Analytic (dT11/dU, dT12/dU at fixed x, dT12/dx at fixed U)."""
-    if U < 1.0:
-        raise DomainError("shock Mach number must be >= 1")
-    if x < 1.0:
-        raise DomainError("position must be >= 1")
-    g = gas.gamma
-    omega = geom.j / x
-    if U == 1.0:
-        if geom.j == 0:
-            return -2.0, 0.0, 0.0
-        raise SingularCoefficientError(
-            "gradient reconstruction is singular at U = 1 for a curved front"
-        )
-    mu, nu = mu_nu(U, gas)
-    D = U * U * (2.0 * mu + nu) + nu
-    dmu = 2.0 * (g - 1.0) * U
-    dnu = 4.0 * g * U
-    dD = 2.0 * U * (2.0 * mu + nu) + U * U * (2.0 * dmu + dnu) + dnu
-    k11 = -2.0 * (U * U - 1.0) * mu / D
-    dk11 = (
-        -2.0
-        * ((2.0 * U * mu + (U * U - 1.0) * dmu) * D - (U * U - 1.0) * mu * dD)
-        / D**2
-    )
-    # t11 = N/M with N = mu - (g+1) k11 U^2 and M = nu U
-    N = mu - (g + 1.0) * k11 * U * U
-    M = nu * U
-    dN = dmu - (g + 1.0) * (dk11 * U * U + 2.0 * U * k11)
-    dM = dnu * U + nu
-    dt11 = (dN * M - N * dM) / M**2
-    # t12 = f(U) * omega with f = -2 (U^4 - 1) nu / ((g+1) U D)
-    f = -2.0 * (U**4 - 1.0) * nu / ((g + 1.0) * U * D)
-    df = (
-        -2.0
-        * (
-            (4.0 * U**3 * nu + (U**4 - 1.0) * dnu) * (U * D)
-            - (U**4 - 1.0) * nu * (D + U * dD)
-        )
-        / ((g + 1.0) * (U * D) ** 2)
-    )
-    dt12_dU = df * omega
-    dt12_dx = f * (-geom.j / x**2)
-    return dt11, dt12_dU, dt12_dx
+    return _gradient_map(U, gas, geom, x)[2]
 
 
 def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
@@ -191,26 +178,12 @@ def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
     t_matrix_derivatives; the k12/k11 quotient is evaluated in the reduced
     form 2*nu*Omega/(gamma+1)^2 which stays finite as U -> 1.
     """
-    if U < 1.0:
-        raise DomainError("shock Mach number must be >= 1")
-    if x < 1.0:
-        raise DomainError("position must be >= 1")
+    (omega, mu, nu, _, k11, k12), tm, (dt11, dt12_dU, dt12_dx) = _gradient_map(U, gas, geom, x)
     g = gas.gamma
-    omega = geom.j / x
+    if U == 1.0 and geom.j == 0:
+        return SecondOrderCoefficients(0.0, 0.5 * (g + 1.0), 0.0, 0.0, 0.5)
     omega_prime = -geom.j / x**2
-    if U == 1.0:
-        if geom.j == 0:
-            return SecondOrderCoefficients(0.0, 0.5 * (g + 1.0), 0.0, 0.0, 0.5)
-        raise SingularCoefficientError(
-            "gradient reconstruction is singular at U = 1 for a curved front"
-        )
-    mu, nu = mu_nu(U, gas)
-    D = U * U * (2.0 * mu + nu) + nu
-    k11 = -2.0 * (U * U - 1.0) * mu / D
-    k12 = k11 * 2.0 * nu * omega / (g + 1.0) ** 2
     ratio = 2.0 * nu * omega / (g + 1.0) ** 2  # k12/k11, reduced
-    tm = t_matrix(U, gas, geom, x)
-    dt11, dt12_dU, dt12_dx = t_matrix_derivatives(U, gas, geom, x)
     eta = mu / (2.0 * mu - (g + 1.0) * U * k11)
     k21 = (U * U - 1.0) * eta / (U * U)
     k22 = ((g + 1.0) * eta / (U * mu)) * (
@@ -346,8 +319,9 @@ def leading_order_reference(x, h, k, gas=GasParams(), geom=Geometry(0)):
 def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Pure large-x decay laws of ([p], [p_x]) for k > 0.
 
-    [p]   ~ h sqrt(2/((gamma+1)k)) * {x^-1/2; 2^-1/2 x^-3/4; x^-1 (log x)^-1/2}
-    [p_x] ~ 2/(gamma+1) * {x^-1; (2x)^-1; (x log x)^-1}  -- no h dependence.
+    With J_lead the leading part of the ray integral (x, 2 sqrt(x), log x):
+    [p]   ~ h sqrt(2/((gamma+1)k)) * psi / sqrt(J_lead),
+    [p_x] ~ 2/(gamma+1) * psi / J_lead  -- no h dependence.
     """
     if not math.isfinite(h):
         raise DomainError(f"initial pressure jump h must be finite, got {h}")
@@ -358,12 +332,7 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     if not math.isfinite(amp):
         raise DomainError(f"decay amplitude h*sqrt(2/((gamma+1)k)) overflows for k = {k}")
     with np.errstate(divide="ignore"):
-        if geom.j == 0:
-            p = amp / np.sqrt(x)
-        elif geom.j == 1:
-            p = amp / np.sqrt(2.0) * x**-0.75
-        else:
-            p = amp / (x * np.sqrt(np.log(x)))
+        p = amp * psi(x, geom) / np.sqrt(ray_integral_leading(x, geom))
         px = far_field_gradient(x, gas, geom)
     return as_scalar(p, px)
 

@@ -32,6 +32,7 @@ from .core import (
     psi,
     ray_integral,
     ray_integral_inverse,
+    ray_integral_leading,
     write_csv,
 )
 from .errors import DomainError, FittingError, VacuumError
@@ -207,8 +208,8 @@ class BoundaryPulse:
 
 
 def wavelet_time(x, tau, pulse, gas=GasParams(), geom=Geometry(0)):
-    """Arrival time t of wavelet tau at position x."""
-    if tau < 0.0 or tau > pulse.tau0:
+    """Arrival time t of wavelet tau at position x (scalars or numpy arrays)."""
+    if np.any((tau < 0.0) | (tau > pulse.tau0)):
         raise DomainError("tau outside the pulse support [0, tau0]")
     J = ray_integral(x, geom)
     return tau + (x - 1.0) - 0.5 * (gas.gamma + 1.0) * pulse.v(tau) * J
@@ -254,14 +255,13 @@ class FittedShock:
 
 
 def _gradient_shape(x, s, tau0, geom):
-    """K(x) + (x - s + tau0) K'(x) of the gradient-jump expression."""
-    if geom.j == 0:
-        K, dK = 1.0 / x, -1.0 / x**2
-    elif geom.j == 1:
-        K, dK = 0.5 / x, -0.5 / x**2
-    else:
-        lx = np.log(x)
-        K, dK = 1.0 / (x * lx), -(1.0 + lx) / (x * lx) ** 2
+    """K(x) + (x - s + tau0) K'(x) of the gradient-jump expression.
+
+    K = psi/J_lead is the far-field shape; J_lead' = psi gives
+    K' = -K (j/(2x) + K).
+    """
+    K = psi(x, geom) / ray_integral_leading(x, geom)
+    dK = -K * (0.5 * geom.j / x + K)
     return K + (x - s + tau0) * dK
 
 
@@ -316,7 +316,7 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
 
     v_tau = pulse.v(taus)
     u_jump = v_tau * psi(x_grid, geom)
-    s = taus + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J
+    s = wavelet_time(x_grid, taus, pulse, gas, geom)
     ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
     ux = np.where(x_grid >= 10.0 * x_form, ux, np.nan)
     return FittedShock(

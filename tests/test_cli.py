@@ -11,7 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from shockdecay import GasParams, Geometry, asymptotic_law, cli
+from shockdecay import (
+    BoundaryPulse,
+    GasParams,
+    Geometry,
+    asymptotic_law,
+    cli,
+    closed_form,
+    psi,
+    simple_wave_u,
+)
 from shockdecay.cli import main
 from shockdecay.transport import CSV_HEADER, breakdown_distance
 
@@ -48,6 +57,17 @@ def test_evolve_writes_history(tmp_path, capsys):
     row = data[data["x"] == 100.0]
     assert row["p_err"][0] == pytest.approx(4.6478939499635177e-05, rel=1e-10)
     assert "decay" in capsys.readouterr().out
+
+
+def test_evolve_acceleration_wave_alone(tmp_path, capsys):
+    # h = 0 carries no shock: [p] stays zero and only the gradient jump decays.
+    out = tmp_path / "wave.csv"
+    assert main(["evolve", "--h", "0", "--geometry", "cylindrical", "--out", str(out)]) == 0
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.all(data["p_jump"] == 0.0)
+    _, px = closed_form(data["x"], 0.0, 1.0, GasParams(1.4), Geometry(1))
+    assert np.array_equal(data["px_jump"], px)
+    assert "decay slope" not in capsys.readouterr().out
 
 
 def test_evolve_deterministic(tmp_path):
@@ -165,6 +185,7 @@ def test_non_finite_input_is_config_error(argv, capsys):
         (["evolve", "--gamma", "1e300"], ("x", "p_jump", "px_jump")),
         (["compare-methods", "--k", "1e300", "--geometry", "planar"], ()),
         (["ccw", "--u0", "1e80", "--variant", "classic"], ("x", "U", "p_jump")),
+        (["compare-methods", "--h", "1e-12", "--geometry", "planar"], ()),
     ],
 )
 def test_extreme_finite_input_is_answered_or_rejected(argv, columns, tmp_path, capsys):
@@ -289,6 +310,25 @@ def test_compare_methods_report(tmp_path):
         "ccw_classic_planar.csv",
     ):
         assert (out_dir / name).exists()
+
+
+@pytest.mark.parametrize("gamma, j, x_end", [(1.4, 0, 1e12), (5.0 / 3.0, 1, 10.0), (3.0, 2, 1.5)])
+def test_simple_wave_deviation_is_the_grid_maximum(gamma, j, x_end):
+    # The pipeline reports |u - v psi| at the pulse peak; it must equal the
+    # maximum over a (tau, x) grid of both half-sine pulses.
+    gas, geom = GasParams(gamma), Geometry(j)
+    expected = {}
+    for eps in (1e-2, 1e-3):
+        pulse = BoundaryPulse.half_sine(eps, 1.0)
+        dev = 0.0
+        for x in np.geomspace(1.0, x_end, 25):
+            for tau in np.linspace(0.0, 1.0, 21):
+                rhs = pulse.v(tau) * psi(x, geom)
+                dev = max(dev, abs(simple_wave_u(rhs, gas) - rhs))
+        expected[f"deviation_{eps:g}"] = dev
+    out = cli._pipeline_simple_wave(gas, geom)
+    assert {k: out[k] for k in expected} == expected
+    assert out["quadratic_ratio"] == expected["deviation_0.01"] / expected["deviation_0.001"]
 
 
 def test_compare_methods_rejects_strong_data():

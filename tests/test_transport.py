@@ -7,6 +7,8 @@ residuals of those balance laws are recomputed here from primitive
 quantities, independently of the coefficient formulas under test.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from shockdecay import (
     GasParams,
     Geometry,
     Scenario,
-    SingularCoefficientError,
     breakdown_distance,
     closed_form,
     decay_slope,
@@ -131,8 +132,15 @@ def test_t_matrix_weak_limit():
     T = t_matrix(1.0 + 1e-9, GAS, PLANAR)
     assert T.t11 == pytest.approx(1.0, abs=1e-8)
     assert T.t21 == pytest.approx(1.0, abs=1e-7)
-    with pytest.raises(SingularCoefficientError):
-        t_matrix(1.0, GAS, SPH, x=2.0)
+    # A curved front has no singularity at U = 1: T, its derivatives and the
+    # second-order coefficients are finite there and continuous as U -> 1.
+    for geom in (CYL, SPH):
+        for f in (t_matrix, t_matrix_derivatives, second_order_coefficients):
+            at, near = (f(U, GAS, geom, x=2.0) for U in (1.0, 1.0 + 1e-9))
+            if f is not t_matrix_derivatives:
+                at, near = astuple(at), astuple(near)
+            assert np.all(np.isfinite(at))
+            np.testing.assert_allclose(at, near, rtol=0.0, atol=1e-6)
     with pytest.raises(DomainError):
         t_matrix(0.9, GAS, PLANAR)
 

@@ -32,7 +32,9 @@ from shockdecay import (
     wavelet_time,
     wngo_decay,
 )
-from shockdecay.wavefront import FITTED_CSV_HEADER, FittedShock
+from shockdecay.core import far_field_gradient
+from shockdecay.transport import asymptotic_law
+from shockdecay.wavefront import FITTED_CSV_HEADER, FittedShock, _gradient_shape
 
 GAS = GasParams(1.4)
 PLANAR, CYL, SPH = Geometry(0), Geometry(1), Geometry(2)
@@ -112,6 +114,12 @@ def test_wavelet_time_formula():
         assert t == pytest.approx(expected, rel=1e-14)
     with pytest.raises(DomainError):
         wavelet_time(2.0, 1.5, pulse)
+    # Arrays are taken elementwise, and one tau outside the support is refused.
+    xs, taus = 1.0 + 20.0 * rng.random(7), rng.random(7)
+    t = wavelet_time(xs, taus, pulse, GAS, SPH)
+    assert np.array_equal(t, [wavelet_time(x, tau, pulse, GAS, SPH) for x, tau in zip(xs, taus)])
+    with pytest.raises(DomainError):
+        wavelet_time(xs, np.append(taus[:-1], 1.5), pulse)
 
 
 def test_formation_distance():
@@ -447,6 +455,42 @@ def test_fitted_csv(tmp_path):
     np.testing.assert_array_equal(data["x"], fitted.x)
     np.testing.assert_array_equal(data["u_jump"], fitted.u_jump)
     assert isinstance(fitted, FittedShock)
+
+
+def test_far_field_laws_match_explicit_forms():
+    # The shared laws, written as psi/J_lead, against each geometry's own form.
+    x = np.geomspace(1.5, 1e12, 40)
+    lx = np.log(x)
+    G = 2.0 / (GAS.gamma + 1.0)
+    amp = 0.32 * np.sqrt(2.0 / ((GAS.gamma + 1.0) * 10.0))
+    explicit = {
+        0: (1.0 / x, -1.0 / x**2, amp / np.sqrt(x)),
+        1: (0.5 / x, -0.5 / x**2, amp / np.sqrt(2.0) * x**-0.75),
+        2: (1.0 / (x * lx), -(1.0 + lx) / (x * lx) ** 2, amp / (x * np.sqrt(lx))),
+    }
+    tau0 = 1.0
+    s = x - 1.0 + tau0 * np.random.default_rng(71).random(x.size)
+    for j, (K, dK, p) in explicit.items():
+        geom = Geometry(j)
+        np.testing.assert_allclose(far_field_gradient(x, GAS, geom), G * K, rtol=1e-15, atol=0)
+        p_law, px_law = asymptotic_law(x, 0.32, 10.0, GAS, geom)
+        np.testing.assert_allclose(p_law, p, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(px_law, G * K, rtol=1e-15, atol=0)
+        # The shape sums two terms that can cancel; bound its error by their sizes.
+        m = x - s + tau0
+        gap = np.abs(_gradient_shape(x, s, tau0, geom) - (K + m * dK))
+        assert np.all(gap <= 1e-15 * (np.abs(K) + np.abs(m * dK)))
+        # K' = -K (j/(2x) + K) against a central difference of K itself: the
+        # shape is K when x - s + tau0 = 0 and K + K' when it is 1.  K'/K ~ 1/x,
+        # so the difference keeps its digits only at moderate x.
+        xm = x[x < 1e3]
+        dK_law = _gradient_shape(xm, xm + tau0 - 1.0, tau0, geom) - _gradient_shape(
+            xm, xm + tau0, tau0, geom
+        )
+        d = 1e-6 * xm
+        fd = (_gradient_shape(xm + d, xm + d + tau0, tau0, geom)
+              - _gradient_shape(xm - d, xm - d + tau0, tau0, geom)) / (2.0 * d)
+        np.testing.assert_allclose(dK_law, fd, rtol=1e-6)
 
 
 def test_wngo_decay_laws():
