@@ -41,72 +41,38 @@ from .wavefront import (
 )
 
 
-def _load_config(path):
-    parser = configparser.ConfigParser()
+# The config keys read, by section, and the flag dest each one backs.
+_CONFIG_KEYS = {
+    "run": {key: key for key in ("gamma", "geometry", "h", "k", "x_end", "samples", "out")},
+    "pulse": {"shape": "pulse", "v0": "v0", "tau0": "tau0", "file": "pulse_file"},
+}
+
+
+def _config_defaults(path, dests):
+    """The config file's values for the flags in ``dests``, as raw strings."""
+    config = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = config.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path}: not found or unreadable")
-    return parser
+    return {
+        dest: config.get(section, key)
+        for section, keys in _CONFIG_KEYS.items()
+        for key, dest in keys.items()
+        if dest in dests and config.has_option(section, key)
+    }
 
 
-def _setting(flag_value, config, section, key, default, cast):
-    """Merge one setting: flag wins, then config file, then default."""
-    if flag_value is not None:
-        return flag_value
-    if config is not None and config.has_option(section, key):
-        raw = config.get(section, key)
-        try:
-            return cast(raw)
-        except (ValueError, DomainError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
-
-
-class _Common:
-    """Settings shared by every command, merged from flags and config."""
-
-    def __init__(self, args, config):
-        self.gamma = _setting(args.gamma, config, "run", "gamma", 1.4, float)
-        geom = _setting(args.geometry, config, "run", "geometry", None, str)
-        self.geom_name = geom  # None means command default (usually planar)
-        self.h = _setting(args.h, config, "run", "h", None, float)
-        self.k = _setting(args.k, config, "run", "k", None, float)
-        self.x_end = _setting(args.x_end, config, "run", "x_end", None, float)
-        if self.x_end is not None and not 1.0 < self.x_end <= MAX_X_END:
-            raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {self.x_end}")
-        self.samples = _setting(getattr(args, "samples", None), config, "run", "samples", 200, int)
-        if self.samples < 2:
-            raise ConfigError("--samples must be at least 2")
-        self.out = args.out or (
-            config.get("run", "out") if config and config.has_option("run", "out") else None
-        )
-        self.gas = GasParams(self.gamma)
-
-    def geometry(self, default="planar"):
-        return Geometry.from_name(self.geom_name or default)
-
-
-def _build_scenario(common, geom, h_default=0.1, k_default=1.0, x_end_default=100.0):
-    return Scenario(
-        gas=common.gas,
-        geom=geom,
-        h=common.h if common.h is not None else h_default,
-        k=common.k if common.k is not None else k_default,
-        x_end=common.x_end if common.x_end is not None else x_end_default,
-    )
-
-
-def cmd_evolve(args, config):
-    common = _Common(args, config)
-    geom = common.geometry()
-    scen = _build_scenario(common, geom)
+def cmd_evolve(args):
+    gas = GasParams(args.gamma)
+    geom = Geometry.from_name(args.geometry)
+    scen = Scenario(gas=gas, geom=geom, h=args.h, k=args.k, x_end=args.x_end)
     convention = AsymptoteConvention(args.asymptote)
-    hist = integrate_truncated(scen, convention, n_samples=common.samples)
-    if common.out:
-        hist.to_csv(common.out)
+    hist = integrate_truncated(scen, convention, n_samples=args.samples)
+    if args.out:
+        hist.to_csv(args.out)
     print(
         f"evolve: {geom.name}, gamma={scen.gas.gamma}, h={scen.h}, k={scen.k}, "
         f"x_end={scen.x_end}"
@@ -122,34 +88,30 @@ def cmd_evolve(args, config):
         window = hist.x >= lo
         slope = decay_slope(hist.x[window], hist.p_jump[window])
         print(f"  decay slope of [p] over [{lo:.6g}, {hist.x[-1]:.6g}]: {slope:.4f}")
-    if common.out:
-        print(f"  wrote {common.out}")
+    if args.out:
+        print(f"  wrote {args.out}")
     return 0
 
 
-def cmd_asymptote(args, config):
-    common = _Common(args, config)
-    geom = common.geometry()
-    h = common.h if common.h is not None else 0.1
-    k = common.k if common.k is not None else 1.0
-    x_end = common.x_end if common.x_end is not None else 100.0
-    x_start = args.x_start if args.x_start is not None else 2.0
-    if not 1.0 < x_start < x_end:
+def cmd_asymptote(args):
+    gas = GasParams(args.gamma)
+    geom = Geometry.from_name(args.geometry)
+    if not 1.0 < args.x_start < args.x_end:
         raise ConfigError("need 1 < x_start < x_end")
-    xs = np.geomspace(x_start, x_end, common.samples)
-    p_asym, px_asym = asymptotic_law(xs, h, k, common.gas, geom)
-    write_csv(common.out or sys.stdout, "x,p_asym,px_asym", (xs, p_asym, px_asym))
-    if common.out:
-        print(f"wrote {common.out}")
+    xs = np.geomspace(args.x_start, args.x_end, args.samples)
+    p_asym, px_asym = asymptotic_law(xs, args.h, args.k, gas, geom)
+    write_csv(args.out or sys.stdout, "x,p_asym,px_asym", (xs, p_asym, px_asym))
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 
-def cmd_table1(args, config):
-    common = _Common(args, config)
+def cmd_table1(args):
+    gas = GasParams(args.gamma)
     rows = []
     for case in REFERENCE_CASES:
-        scen = Scenario(gas=common.gas, geom=Geometry(0), h=case.h, k=case.k, x_end=100.0)
-        hist = integrate_truncated(scen, n_samples=common.samples)
+        scen = Scenario(gas=gas, geom=Geometry(0), h=case.h, k=case.k, x_end=100.0)
+        hist = integrate_truncated(scen, n_samples=args.samples)
         idx = np.searchsorted(hist.x, REFERENCE_X)
         if not np.array_equal(hist.x[idx], REFERENCE_X):
             raise SolverError("the history does not sample every reference abscissa")
@@ -169,7 +131,7 @@ def cmd_table1(args, config):
                     (px_c - px_r) / px_r,
                 )
             )
-        print(f"parameter set h = {case.h}, k = {case.k} (gamma = {common.gamma}, planar)")
+        print(f"parameter set h = {case.h}, k = {case.k} (gamma = {args.gamma}, planar)")
         print(
             f"  {'x':>8}  {'p_err':>12} {'p_err_ref':>12} {'dev':>8}"
             f"  {'px_err':>12} {'px_err_ref':>12} {'dev':>8}"
@@ -179,25 +141,17 @@ def cmd_table1(args, config):
                 f"  {x:>8.4g}  {p_c:>12.4e} {p_r:>12.4e} {p_d:>+8.2%}"
                 f"  {px_c:>12.4e} {px_r:>12.4e} {px_d:>+8.2%}"
             )
-    if common.out:
+    if args.out:
         write_csv(
-            common.out,
+            args.out,
             "h,k,x,p_err,p_err_ref,p_err_dev,px_err,px_err_ref,px_err_dev",
             tuple(np.array(col) for col in zip(*rows)),
         )
-        print(f"wrote {common.out}")
+        print(f"wrote {args.out}")
     return 0
 
 
-def _make_pulse(args, config):
-    shape = _setting(args.pulse, config, "pulse", "shape", "half-sine", str)
-    v0 = _setting(args.v0, config, "pulse", "v0", 0.01, float)
-    tau0 = _setting(args.tau0, config, "pulse", "tau0", 1.0, float)
-    pulse_file = args.pulse_file or (
-        config.get("pulse", "file")
-        if config and config.has_option("pulse", "file")
-        else None
-    )
+def _make_pulse(shape, v0, tau0, pulse_file):
     if shape == "half-sine":
         return BoundaryPulse.half_sine(v0, tau0)
     if shape == "ramp":
@@ -206,33 +160,31 @@ def _make_pulse(args, config):
         if not pulse_file:
             raise ConfigError("table pulse needs --pulse-file")
         return BoundaryPulse.from_csv(pulse_file)
-    raise ConfigError(f"unknown pulse shape {shape!r}")
+    raise ConfigError(f"unknown pulse shape {shape!r}")  # a config value skips `choices`
 
 
-def cmd_fit_shock(args, config):
-    common = _Common(args, config)
-    geom = common.geometry()
-    pulse = _make_pulse(args, config)
-    x_end = common.x_end if common.x_end is not None else 1e4
-    fitted_grid = None
-    if args.x_start is not None:
-        if not 1.0 < args.x_start < x_end:
+def cmd_fit_shock(args):
+    gas = GasParams(args.gamma)
+    geom = Geometry.from_name(args.geometry)
+    pulse = _make_pulse(args.pulse, args.v0, args.tau0, args.pulse_file)
+    x_start = args.x_start
+    if x_start is not None:
+        if not 1.0 < x_start < args.x_end:
             raise ConfigError("need 1 < x_start < x_end")
-        fitted_grid = np.geomspace(args.x_start, x_end, common.samples)
-    # The grid defaults to [1.1 * formation distance, x_end]; fit_shock
-    # itself raises a fitting error for grids that reach below formation.
-    if fitted_grid is None:
-        x_form = formation_distance(pulse, common.gas, geom)
-        if 1.1 * x_form >= x_end:
+    else:
+        # The grid defaults to [1.1 * formation distance, x_end]; fit_shock
+        # itself raises a fitting error for grids that reach below formation.
+        x_form = formation_distance(pulse, gas, geom)
+        x_start = 1.1 * x_form
+        if x_start >= args.x_end:
             raise ConfigError(
-                f"x_end = {x_end} is below the shock formation range "
+                f"x_end = {args.x_end} is below the shock formation range "
                 f"(forms at x = {x_form:.6g})"
             )
-        fitted_grid = np.geomspace(1.1 * x_form, x_end, common.samples)
-    fitted = fit_shock(pulse, common.gas, geom, fitted_grid)
-    reference = wngo_decay(pulse.b, common.gas, geom, fitted.x)
-    if common.out:
-        fitted.to_csv(common.out, reference=reference)
+    fitted = fit_shock(pulse, gas, geom, np.geomspace(x_start, args.x_end, args.samples))
+    reference = wngo_decay(pulse.b, gas, geom, fitted.x)
+    if args.out:
+        fitted.to_csv(args.out, reference=reference)
     print(
         f"fit-shock: {geom.name}, {pulse.label} pulse, v0 slope {pulse.vdot0:.6g}, "
         f"b = {pulse.b:.6g}"
@@ -242,29 +194,28 @@ def cmd_fit_shock(args, config):
         f"  final x = {fitted.x[-1]:.6g}: tau_minus/tau0 = "
         f"{fitted.tau_minus[-1] / fitted.tau0:.6f}, [u] = {fitted.u_jump[-1]:.6e}"
     )
-    if common.out:
-        print(f"  wrote {common.out}")
+    if args.out:
+        print(f"  wrote {args.out}")
     return 0
 
 
-def cmd_ccw(args, config):
-    common = _Common(args, config)
-    geom = common.geometry()
+def cmd_ccw(args):
+    gas = GasParams(args.gamma)
+    geom = Geometry.from_name(args.geometry)
     if args.u0 is not None:
         u0 = args.u0
-    elif common.h is not None:
-        u0 = mach_from_p_jump(common.h, common.gas)
+    elif args.h is not None:
+        u0 = mach_from_p_jump(args.h, gas)
     else:
         u0 = 1.5
     variant = CcwVariant(args.variant)
-    x_end = common.x_end if common.x_end is not None else 100.0
-    hist = integrate_ccw(u0, common.gas, geom, x_end, variant, n_samples=common.samples)
-    if common.out:
-        hist.to_csv(common.out)
+    hist = integrate_ccw(u0, gas, geom, args.x_end, variant, n_samples=args.samples)
+    if args.out:
+        hist.to_csv(args.out)
     print(f"ccw: {geom.name}, {variant.value} rule, U0 = {u0}")
     print(f"  final x = {hist.x[-1]:.6g}: U = {hist.U[-1]:.12g}, [p] = {hist.p_jump[-1]:.6e}")
-    if common.out:
-        print(f"  wrote {common.out}")
+    if args.out:
+        print(f"  wrote {args.out}")
     return 0
 
 
@@ -345,34 +296,27 @@ def _pipeline_ccw(gas, geom, h, x_end, out_dir):
     return out
 
 
-def cmd_compare_methods(args, config):
-    common = _Common(args, config)
-    h = common.h if common.h is not None else 0.05
+def cmd_compare_methods(args):
+    gas = GasParams(args.gamma)
+    h, k, x_end = args.h, args.k, args.x_end
     if not 0.0 < h <= 0.1:
         raise ConfigError(f"compare-methods needs 0 < h <= 0.1 (weak data), got {h}")
-    k = common.k if common.k is not None else 1.0
     if not 0.0 < k < math.inf:
         raise ConfigError("compare-methods needs a finite k > 0 for the precursor branch")
-    # The default range is long because the spherical asymptote switches on
-    # only logarithmically: the fitted exponents approach their limits like
-    # 1/log(x), so two fitting decades ending at 1e12 are needed to place
-    # every method's spherical exponent within a couple of percent of -1.
-    x_end = common.x_end if common.x_end is not None else 1e12
-    geom_arg = common.geom_name or "all"
-    if geom_arg == "all":
+    if args.geometry == "all":
         geometries = [Geometry(0), Geometry(1), Geometry(2)]
     else:
-        geometries = [common.geometry()]
+        geometries = [Geometry.from_name(args.geometry)]
     # Data the transport or CCW route rejects is bad input (exit 2), not a partial report.
     for geom in geometries:
-        Scenario(gas=common.gas, geom=geom, h=h, k=k, x_end=x_end)
-    if not mach_from_p_jump(h, common.gas) > 1.0 + WEAK_LIMIT_FLOOR:
+        Scenario(gas=gas, geom=geom, h=h, k=k, x_end=x_end)
+    if not mach_from_p_jump(h, gas) > 1.0 + WEAK_LIMIT_FLOOR:
         raise ConfigError(f"h = {h} puts the CCW start within {WEAK_LIMIT_FLOOR:g} of U = 1")
     out_dir = args.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     report = {
-        "gamma": common.gamma,
+        "gamma": args.gamma,
         "h": h,
         "k": k,
         "x_end": x_end,
@@ -389,7 +333,7 @@ def cmd_compare_methods(args, config):
         entry = {}
         for name, (pipeline, *rest) in pipelines.items():
             try:
-                entry[name] = pipeline(common.gas, geom, *rest)
+                entry[name] = pipeline(gas, geom, *rest)
             except ShockError as exc:
                 entry[name] = {"status": "failed", "error": str(exc)}
                 any_failed = True
@@ -420,84 +364,99 @@ def cmd_compare_methods(args, config):
     return 4 if any_failed else 0
 
 
+# Help text of the flags several subcommands share, in --help order.
+_SHARED_FLAGS = {
+    "geometry": (str, "planar | cylindrical | spherical (compare-methods also: all)"),
+    "h": (float, "initial pressure jump"),
+    "k": (float, "initial gradient jump"),
+    "x_end": (float, "final position"),
+    "samples": (int, "output sample count"),
+    "out": (str, "output CSV path"),
+}
+
+
 def _parser():
+    """The argument parser and its subparsers by name.
+
+    Each subcommand has --gamma, --config and those shared flags it reads,
+    with its own defaults; abbreviated flags are refused.
+    """
     parser = argparse.ArgumentParser(
         prog="shockdecay",
         description="Cross-validated decay laws for weak gasdynamic shocks.",
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common_flags(p, samples_default=None):
-        p.add_argument("--gamma", type=float, default=None, help="specific-heat ratio")
-        p.add_argument(
-            "--geometry",
-            default=None,
-            help="planar | cylindrical | spherical (compare-methods also: all)",
-        )
-        p.add_argument("--h", type=float, default=None, help="initial pressure jump")
-        p.add_argument("--k", type=float, default=None, help="initial gradient jump")
-        p.add_argument("--x-end", type=float, default=None, help="final position")
-        p.add_argument("--samples", type=int, default=None, help="output sample count")
-        p.add_argument("--out", default=None, help="output CSV path")
+    def command(name, func, help, **defaults):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--gamma", type=float, default=1.4, help="specific-heat ratio")
+        for dest, (cast, text) in _SHARED_FLAGS.items():
+            if dest in defaults:
+                flag = "--" + dest.replace("_", "-")
+                p.add_argument(flag, type=cast, default=defaults[dest], help=text)
         p.add_argument("--config", default=None, help="INI config file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evolve", help="sample the weak-shock decay laws")
-    common_flags(p)
+    run = dict(geometry="planar", h=0.1, k=1.0, x_end=100.0, samples=200, out=None)
+    p = command("evolve", cmd_evolve, "sample the weak-shock decay laws", **run)
     p.add_argument(
         "--asymptote",
         choices=["leading", "power-law"],
         default="leading",
         help="reference convention for the error columns",
     )
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("asymptote", help="evaluate the closed decay laws")
-    common_flags(p)
-    p.add_argument("--x-start", type=float, default=None)
-    p.set_defaults(func=cmd_asymptote)
+    p = command("asymptote", cmd_asymptote, "evaluate the closed decay laws", **run)
+    p.add_argument("--x-start", type=float, default=2.0)
 
-    p = sub.add_parser("table1", help="reference-error regression table")
-    common_flags(p)
-    p.set_defaults(func=cmd_table1)
+    command("table1", cmd_table1, "reference-error regression table", samples=200, out=None)
 
-    p = sub.add_parser("compare-methods", help="cross-validate the four methods")
-    common_flags(p)
+    # The default range is long because the spherical asymptote switches on
+    # only logarithmically: the fitted exponents approach their limits like
+    # 1/log(x), so two fitting decades ending at 1e12 are needed to place
+    # every method's spherical exponent within a couple of percent of -1.
+    p = command("compare-methods", cmd_compare_methods, "cross-validate the four methods",
+                geometry="all", h=0.05, k=1.0, x_end=1e12)
     p.add_argument("--report", default=None, help="JSON report path (default stdout)")
     p.add_argument("--out-dir", default=None, help="directory for per-pipeline CSVs")
-    p.set_defaults(func=cmd_compare_methods)
 
-    p = sub.add_parser("fit-shock", help="fit the lead shock from a boundary pulse")
-    common_flags(p)
-    p.add_argument("--pulse", choices=["half-sine", "ramp", "table"], default=None)
-    p.add_argument("--v0", type=float, default=None, help="pulse amplitude (or ramp slope)")
-    p.add_argument("--tau0", type=float, default=None, help="pulse duration")
+    p = command("fit-shock", cmd_fit_shock, "fit the lead shock from a boundary pulse",
+                geometry="planar", x_end=1e4, samples=200, out=None)
+    p.add_argument("--pulse", choices=["half-sine", "ramp", "table"], default="half-sine")
+    p.add_argument("--v0", type=float, default=0.01, help="pulse amplitude (or ramp slope)")
+    p.add_argument("--tau0", type=float, default=1.0, help="pulse duration")
     p.add_argument("--pulse-file", default=None, help="CSV with (tau, v) samples")
-    p.add_argument("--x-start", type=float, default=None)
-    p.set_defaults(func=cmd_fit_shock)
+    p.add_argument("--x-start", type=float, default=None, help="default: 1.1 x formation")
 
-    p = sub.add_parser("ccw", help="evaluate a characteristic-rule decay law")
-    common_flags(p)
+    # Without --u0 the start is the Mach number of --h, else U0 = 1.5.
+    p = command("ccw", cmd_ccw, "evaluate a characteristic-rule decay law",
+                geometry="planar", h=None, x_end=100.0, samples=200, out=None)
     p.add_argument("--u0", type=float, default=None, help="initial Mach number")
-    p.add_argument(
-        "--variant", choices=["classic", "generalized"], default="generalized"
-    )
-    p.set_defaults(func=cmd_ccw)
+    p.add_argument("--variant", choices=["classic", "generalized"], default="generalized")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _parser()
+    parser, commands = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(file=sys.stderr)
+            return 2
+        if args.config:
+            # Config values become the subcommand's defaults, so flags still
+            # win and argparse casts them with each flag's type.
+            commands[args.command].set_defaults(**_config_defaults(args.config, vars(args)))
+            args = parser.parse_args(argv)
+        if "x_end" in vars(args) and not 1.0 < args.x_end <= MAX_X_END:
+            raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {args.x_end}")
+        if "samples" in vars(args) and args.samples < 2:
+            raise ConfigError("--samples must be at least 2")
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "func", None) is None:
-        parser.print_usage(file=sys.stderr)
-        return 2
-    try:
-        config = _load_config(args.config) if args.config else None
-        return args.func(args, config)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

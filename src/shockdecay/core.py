@@ -98,7 +98,7 @@ def write_csv(dest, header, columns):
 def jumps_from_mach(mach, gas=GasParams()):
     """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` >= 1."""
     mach = np.asarray(mach, dtype=float)
-    if np.any(mach < 1.0):
+    if not np.all(mach >= 1.0):
         raise DomainError("shock Mach number must be >= 1")
     g = gas.gamma
     u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)
@@ -110,7 +110,7 @@ def jumps_from_mach(mach, gas=GasParams()):
 def mach_from_p_jump(p_jump, gas=GasParams()):
     """Shock Mach number carrying pressure jump ``p_jump`` >= 0."""
     p_jump = np.asarray(p_jump, dtype=float)
-    if np.any(p_jump < 0.0):
+    if not np.all(p_jump >= 0.0):
         raise DomainError("pressure jump must be >= 0 for a compressive shock")
     mach = np.sqrt(1.0 + 0.5 * (gas.gamma + 1.0) * p_jump)
     return as_scalar(mach)
@@ -119,7 +119,7 @@ def mach_from_p_jump(p_jump, gas=GasParams()):
 def mu_nu(mach, gas=GasParams()):
     """Auxiliary strength polynomials mu = 2 + (g-1)U^2, nu = 2g U^2 + 1 - g."""
     mach = np.asarray(mach, dtype=float)
-    if np.any(mach < 1.0):
+    if not np.all(mach >= 1.0):
         raise DomainError("shock Mach number must be >= 1")
     g = gas.gamma
     mu = 2.0 + (g - 1.0) * mach**2
@@ -130,7 +130,7 @@ def mu_nu(mach, gas=GasParams()):
 def psi(x, geom=Geometry(0)):
     """Geometric decay factor x**(-j/2) of a weak wavelet at position x >= 1."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):
         raise DomainError("position must be >= 1 (the initial wavefront radius)")
     out = x ** (-0.5 * geom.j)
     return as_scalar(out)
@@ -139,7 +139,7 @@ def psi(x, geom=Geometry(0)):
 def ray_integral(x, geom=Geometry(0)):
     """Accumulated ray integral J(x) = int_1^x s**(-j/2) ds, closed form."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):
         raise DomainError("position must be >= 1 (the initial wavefront radius)")
     if geom.j == 0:
         out = x - 1.0
@@ -153,7 +153,7 @@ def ray_integral(x, geom=Geometry(0)):
 def ray_integral_leading(x, geom=Geometry(0)):
     """Large-x leading part of ray_integral: x, 2*sqrt(x) or log(x)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):
         raise DomainError("position must be >= 1 (the initial wavefront radius)")
     if geom.j == 0:
         out = x * 1.0
@@ -167,7 +167,7 @@ def ray_integral_leading(x, geom=Geometry(0)):
 def ray_integral_inverse(value, geom=Geometry(0)):
     """Position x >= 1 at which ray_integral(x) equals ``value`` >= 0."""
     value = np.asarray(value, dtype=float)
-    if np.any(value < 0.0):
+    if not np.all(value >= 0.0):
         raise DomainError("ray integral is nonnegative for x >= 1")
     if geom.j == 0:
         out = 1.0 + value

@@ -84,12 +84,12 @@ def _front_state(U, gas, j, x=1.0):
     given omega itself, passes it as j with x = 1.  k12 takes the reduced
     form k11 * 2 nu omega/(gamma+1)^2.
     """
-    if U < 1.0:
+    if not U >= 1.0:
         raise DomainError("shock Mach number must be >= 1")
-    if x < 1.0:
+    if not x >= 1.0:
         raise DomainError("position must be >= 1")
     omega = j / x
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise DomainError("curvature j/x must be >= 0")
     mu, nu = mu_nu(U, gas)
     D = U * U * (2.0 * mu + nu) + nu

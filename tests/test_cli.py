@@ -5,6 +5,7 @@ tmp_path.  Exit-code contract: 0 success, 2 configuration error, 3
 numerical failure, 4 partial comparison report.
 """
 
+import argparse
 import json
 import time
 
@@ -192,7 +193,7 @@ def test_extreme_finite_input_is_answered_or_rejected(argv, columns, tmp_path, c
     # Either a finite answer (exit 0) or a bad-input error (exit 2), promptly.
     out = tmp_path / "out.csv"
     start = time.perf_counter()
-    code = main(argv + ["--out", str(out)])
+    code = main(argv + (["--out", str(out)] if columns else []))
     assert time.perf_counter() - start < 5.0
     assert code in (0, 2)
     if code == 2:
@@ -207,6 +208,60 @@ def test_rtol_flag_is_refused():
     # The transport route is evaluated in closed form; there is no solver
     # tolerance to set.
     assert main(["evolve", "--rtol", "1e-10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare-methods", "--out", "f.csv"],
+        ["compare-methods", "--samples", "3"],
+        ["table1", "--geometry", "spherical"],
+        ["table1", "--h", "0.1"],
+        ["table1", "--k", "1"],
+        ["table1", "--x-end", "1e4"],
+        ["fit-shock", "--h", "0.1"],
+        ["fit-shock", "--k", "1"],
+        ["ccw", "--k", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_is_refused(tmp_path, monkeypatch):
+    # Abbreviations would turn compare-methods --out into --out-dir.
+    monkeypatch.chdir(tmp_path)
+    argv = ["compare-methods", "--geometry", "planar", "--x-end", "1e4", "--out", "f.csv"]
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(["evolve", "--geom", "planar"]) == 2
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that records which public attributes are read."""
+
+    def __init__(self):
+        super().__init__()
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize(
+    "command", ["evolve", "asymptote", "table1", "compare-methods", "fit-shock", "ccw"]
+)
+def test_every_flag_is_read(command, capsys):
+    # A flag that its command never reads changes no output; keep none.
+    parser, _ = cli._parser()
+    args = parser.parse_args([command], namespace=_ReadRecorder())
+    args._read.clear()
+    assert args.func(args) == 0
+    dests = {name for name in vars(args) if not name.startswith("_")}
+    assert dests - {"func", "command", "config"} <= args._read
 
 
 def test_table1_reports_both_sets(tmp_path, capsys):
@@ -378,6 +433,20 @@ def test_config_file_merging(tmp_path):
     data2 = np.genfromtxt(out2, delimiter=",", names=True)
     assert data2["p_jump"][0] == 0.3
     assert data2["px_jump"][0] == 5.0
+    # Values are taken literally: no % interpolation.
+    out3 = tmp_path / "run%1.csv"
+    config.write_text(f"[run]\nout = {out3}\n")
+    assert main(["evolve", "--config", str(config)]) == 0
+    assert out3.exists()
+    # Keys the command has no flag for are ignored.
+    config.write_text("[run]\nk = 5\n")
+    assert main(["ccw", "--config", str(config)]) == 0
+    assert main(["fit-shock", "--config", str(config)]) == 0
+    out4 = tmp_path / "ignored.csv"
+    config.write_text(f"[run]\nout = {out4}\n")
+    argv = ["compare-methods", "--geometry", "planar", "--x-end", "1e4"]
+    assert main(argv + ["--config", str(config)]) == 0
+    assert not out4.exists()
 
 
 def test_config_file_pulse_section(tmp_path):
@@ -385,6 +454,9 @@ def test_config_file_pulse_section(tmp_path):
     config.write_text("[pulse]\nshape = half-sine\nv0 = 0.08\ntau0 = 2.0\n")
     out = tmp_path / "fit.csv"
     assert main(["fit-shock", "--config", str(config), "--out", str(out)]) == 0
+    # A config value skips the flag's choices, so the command checks the shape.
+    config.write_text("[pulse]\nshape = triangle\n")
+    assert main(["fit-shock", "--config", str(config)]) == 2
 
 
 def test_config_file_errors(tmp_path):

@@ -82,6 +82,11 @@ def test_jumps_array_input():
 def test_jumps_reject_subsonic():
     with pytest.raises(DomainError):
         jumps_from_mach(0.5)
+    for bad in (float("nan"), [1.5, float("nan")]):
+        with pytest.raises(DomainError):
+            jumps_from_mach(bad)
+        with pytest.raises(DomainError):
+            mach_from_p_jump(bad)
 
 
 def test_mach_from_p_jump_roundtrip():
@@ -104,6 +109,8 @@ def test_mu_nu_values():
     assert mu_nu(1.0, gas)[0] == pytest.approx(8.0 / 3.0, rel=1e-15)
     with pytest.raises(DomainError):
         mu_nu(0.99)
+    with pytest.raises(DomainError):
+        mu_nu(float("nan"))
 
 
 def test_geometry_names():
@@ -130,6 +137,12 @@ def test_psi_decay_factor():
     assert psi(4.0, Geometry(2)) == 0.25
     with pytest.raises(DomainError):
         psi(0.5, Geometry(1))
+    for j in (0, 1, 2):  # NaN is out of range even where psi does not use x
+        with pytest.raises(DomainError):
+            psi(float("nan"), Geometry(j))
+        for ray in (ray_integral, ray_integral_leading):
+            with pytest.raises(DomainError):
+                ray(np.array([2.0, np.nan]), Geometry(j))
 
 
 def test_ray_integral_matches_quadrature():
@@ -151,6 +164,8 @@ def test_ray_integral_inverse_roundtrip():
         np.testing.assert_allclose(ray_integral_inverse(vals, geom), xs, rtol=1e-12)
     with pytest.raises(DomainError):
         ray_integral_inverse(-1.0)
+    with pytest.raises(DomainError):
+        ray_integral_inverse(float("nan"))
 
 
 def test_ray_integral_leading_offsets():

@@ -145,6 +145,24 @@ def test_t_matrix_weak_limit():
         t_matrix(0.9, GAS, PLANAR)
 
 
+@pytest.mark.parametrize(
+    "f, U, where",
+    [
+        (first_order_coefficients, U, {"omega": omega})
+        for U, omega in [(0.9, 0.5), (float("nan"), 0.5), (1.2, float("nan"))]
+    ]
+    + [
+        (f, U, {"geom": CYL, "x": x})
+        for f in (t_matrix, t_matrix_derivatives, second_order_coefficients)
+        for U, x in [(0.9, 2.0), (float("nan"), 2.0), (1.2, 0.5), (1.2, float("nan"))]
+    ],
+)
+def test_coefficients_reject_outside_domain(f, U, where):
+    # Each check tests the accepted range, so NaN is refused like U < 1 or x < 1.
+    with pytest.raises(DomainError):
+        f(U, GAS, **where)
+
+
 def test_t_matrix_derivatives_match_finite_differences():
     rng = np.random.default_rng(9)
     for _ in range(20):
