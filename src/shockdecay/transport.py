@@ -438,4 +438,6 @@ def decay_slope(x, y):
     keep = (y > 0.0) & np.isfinite(y)
     if keep.sum() < 2:
         raise DomainError("need at least two positive samples to fit a slope")
-    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
+    X, Y = np.log(x[keep]), np.log(y[keep])
+    X -= X.mean()
+    return float(np.dot(X, Y - Y.mean()) / np.dot(X, X))
