@@ -110,6 +110,14 @@ def _panel_integral(v, tau0):
     return integral
 
 
+def _float_or_nan(field):
+    """A CSV field as a float; NaN where it is not a number (a header)."""
+    try:
+        return float(field)
+    except ValueError:
+        return math.nan
+
+
 class BoundaryPulse:
     """Boundary velocity pulse v(tau) on [0, tau0], with its integral.
 
@@ -144,7 +152,7 @@ class BoundaryPulse:
     def v_integral(self, tau):
         """Cumulative integral of v from 0 to tau (scalar or array in [0, tau0])."""
         tau = np.asarray(tau, dtype=float)
-        if np.any((tau < 0.0) | (tau > self.tau0 * (1.0 + 1e-12))):
+        if not np.all((tau >= 0.0) & (tau <= self.tau0 * (1.0 + 1e-12))):
             raise DomainError("tau outside the pulse support [0, tau0]")
         tau = np.minimum(tau, self.tau0)
         return as_scalar(self._integral(tau) - self._b0)
@@ -197,10 +205,18 @@ class BoundaryPulse:
 
     @classmethod
     def from_csv(cls, path):
-        """Load a table pulse from two-column CSV (tau, v), optional header."""
-        data = np.genfromtxt(path, delimiter=",", skip_header=0)
-        if data.ndim != 2:
-            raise DomainError(f"{path}: expected two CSV columns (tau, v)")
+        """Load a table pulse from two-column CSV (tau, v), optional header.
+
+        Blank lines and text after '#' are skipped; a parse failure raises DomainError.
+        """
+        try:
+            with open(path) as fh:
+                rows = [row for row in fh if row.partition("#")[0].strip()]
+            if not rows:
+                raise ValueError("no CSV rows")
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, converters=_float_or_nan)
+        except ValueError as exc:
+            raise DomainError(f"{path}: {exc}") from None
         if np.isnan(data[0]).any():  # header row
             data = data[1:]
         if data.shape[1] != 2 or np.isnan(data).any():
@@ -210,7 +226,7 @@ class BoundaryPulse:
 
 def wavelet_time(x, tau, pulse, gas=GasParams(), geom=Geometry(0)):
     """Arrival time t of wavelet tau at position x (scalars or numpy arrays)."""
-    if np.any((tau < 0.0) | (tau > pulse.tau0)):
+    if not np.all((tau >= 0.0) & (tau <= pulse.tau0)):
         raise DomainError("tau outside the pulse support [0, tau0]")
     J = ray_integral(x, geom)
     return tau + (x - 1.0) - 0.5 * (gas.gamma + 1.0) * pulse.v(tau) * J
@@ -279,10 +295,10 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     so a one-sided approach crosses the root; it is the midpoint where
     F(lo) = 0, where it is not finite, where the bracket spans at most two
     margins, and after 40 passes.  Every bracket closes to adjacent doubles:
-    F(tau_-) <= 0 < F at the double below.  The scan is uniform with
-    spacing tau0/399 and holds the pulse knots, where a table pulse puts
-    its sharp features; a peak of R narrower than the spacing and away from
-    every knot can still be missed.
+    F(tau_-) <= 0 < F at the double below, and drops out of later passes.
+    The scan is uniform with spacing tau0/399 and holds the pulse knots,
+    where a table pulse puts its sharp features; a peak of R narrower than
+    the spacing and away from every knot can still be missed.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
@@ -312,29 +328,36 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     lo, hi = scan[cell], scan[cell + 1]  # F > 0 just above lo, F(hi) <= 0
     f_lo = np.where(cell > 0, cv2[cell - 1] * J - B[cell - 1], 0.0)
     f_hi = cv2[cell] * J - B[cell]
+    taus = np.empty_like(J)
+    live, Jl = np.arange(J.size), J  # brackets still open, and their J
     above = below = np.zeros(J.size, dtype=bool)  # which end moved last pass
     for n in itertools.count():
         mid = 0.5 * (lo + hi)
         split = (lo < mid) & (mid < hi)
-        if not split.any():
-            break
-        step = 4.0 * np.spacing(hi)
+        if not split.all():  # closed to adjacent doubles: tau_- = hi, done
+            taus[live[~split]] = hi[~split]
+            if not split.any():
+                break
+            live, Jl, lo, hi, mid, f_lo, f_hi, above, below = (
+                z[split] for z in (live, Jl, lo, hi, mid, f_lo, f_hi, above, below)
+            )
+        step, width = 4.0 * np.spacing(hi), hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo + step, hi - step)
-        bisect = (f_lo == 0.0) | ~np.isfinite(t) | (hi - lo <= 2.0 * step) | (n >= 40)
-        t = np.where(bisect, mid, t)  # closed (one-ulp) brackets take mid too
-        f = c * pulse.v(t) ** 2 * J - pulse.v_integral(t)
+            t = np.minimum(np.maximum(lo - f_lo * width / (f_hi - f_lo), lo + step), hi - step)
+        bisect = (f_lo == 0.0) | ~np.isfinite(t) | (width <= 2.0 * step) | (n >= 40)
+        t = np.where(bisect, mid, t)
+        # t lies in [0, tau0], so the unchecked integral stands in for v_integral.
+        f = c * pulse.v(t) ** 2 * Jl - (pulse._integral(t) - pulse._b0)
         up = f > 0.0
         f_hi = np.where(above & up, 0.5 * f_hi, f_hi)  # Illinois: same end twice
         f_lo = np.where(below & ~up, 0.5 * f_lo, f_lo)
-        above, below = split & up, split & ~up
+        above, below = up, ~up
         lo, f_lo = np.where(above, t, lo), np.where(above, f, f_lo)
         hi, f_hi = np.where(below, t, hi), np.where(below, f, f_hi)
-    taus = hi
 
     v_tau = pulse.v(taus)
     u_jump = v_tau * psi(x_grid, geom)
-    s = wavelet_time(x_grid, taus, pulse, gas, geom)
+    s = taus + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J  # wavelet_time, reusing J and v(tau_-)
     ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
     ux = np.where(x_grid >= 10.0 * x_form, ux, np.nan)
     return FittedShock(
@@ -378,31 +401,36 @@ def ruw_state(u, gas=GasParams()):
 def simple_wave_u(rhs, gas=GasParams()):
     """Invert u (1 + (gamma-1)u/2)^(2/(gamma-1)) = rhs for u >= 0.
 
-    Safeguarded Newton iteration, converged to |residual| < 1e-13.
+    Safeguarded Newton iteration from the inverse series u = r - r^2 + (3+a)/2 r^3,
+    a = (gamma-1)/2, or where that leaves (0, r] from the root of u (1 + u) = r
+    (an upper bound for gamma <= 3); converged to |residual| < 1e-13 max(1, rhs).
     """
-    if rhs < 0.0:
-        raise DomainError("expansive branch (rhs < 0) is out of scope")
-    if rhs == 0.0:
+    if not 0.0 <= rhs < math.inf:
+        raise DomainError("rhs must be finite and >= 0 (the expansive branch is out of scope)")
+    r = float(rhs)
+    if r == 0.0:
         return 0.0
     g = gas.gamma
-    e = 2.0 / (g - 1.0)
-
-    def f(u):
-        return u * (1.0 + 0.5 * (g - 1.0) * u) ** e - rhs
-
-    lo, hi = 0.0, rhs  # the map grows at least linearly, so the root is <= rhs
-    u = rhs
+    a = 0.5 * (g - 1.0)
+    e1 = (3.0 - g) / (g - 1.0)  # 2/(gamma-1) - 1
+    # Half the tolerance leaves room for a caller's residual in another rounding;
+    # above rhs = 1 it is relative, as the residual rounds to ~1e-16 rhs there.
+    tol = 0.5 * ROOT_RESIDUAL_TOL * max(1.0, r)
+    lo, hi = 0.0, r  # the map grows at least linearly, so the root is <= rhs
+    u = r - r * r + 0.5 * (3.0 + a) * r**3
+    if not 0.0 < u <= r:
+        u = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r))
     for _ in range(100):
-        res = f(u)
-        if abs(res) < ROOT_RESIDUAL_TOL:
+        s = 1.0 + a * u
+        p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s
+        res = u * s * p - r
+        if abs(res) < tol:
             return u
         if res > 0.0:
             hi = u
         else:
             lo = u
-        a = 1.0 + 0.5 * (g - 1.0) * u
-        step = res / (a ** (e - 1.0) * (1.0 + 0.5 * (g + 1.0) * u))
-        u_new = u - step
+        u_new = u - res / (p * (s + u))
         if not lo < u_new < hi:
             u_new = 0.5 * (lo + hi)
         u = u_new

@@ -319,6 +319,8 @@ def test_fit_shock_table_pulse(tmp_path):
     )
     assert code == 0
     assert main(["fit-shock", "--pulse", "table"]) == 2  # no file given
+    pulse_file.write_text("tau,v\n0,0\n0.5,0.1,3\n1,0\n")  # ragged row
+    assert main(["fit-shock", "--pulse", "table", "--pulse-file", str(pulse_file)]) == 2
 
 
 def test_ccw_command(tmp_path):

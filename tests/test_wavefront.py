@@ -10,6 +10,8 @@ Oracles used here, all recomputed from scratch:
   - the carried state: exact isentropy and a conserved rearward invariant.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -34,7 +36,12 @@ from shockdecay import (
 )
 from shockdecay.core import far_field_gradient
 from shockdecay.transport import asymptotic_law
-from shockdecay.wavefront import FITTED_CSV_HEADER, FittedShock, _gradient_shape
+from shockdecay.wavefront import (
+    FITTED_CSV_HEADER,
+    ROOT_RESIDUAL_TOL,
+    FittedShock,
+    _gradient_shape,
+)
 
 GAS = GasParams(1.4)
 PLANAR, CYL, SPH = Geometry(0), Geometry(1), Geometry(2)
@@ -50,6 +57,9 @@ def test_half_sine_pulse_integral_matches_quadrature():
     assert pulse.vdot0 == pytest.approx(np.pi * 0.1 / 2.0, rel=1e-12)
     assert pulse.v(0.0) == 0.0
     assert abs(pulse.v(2.0)) < 1e-15
+    for tau in (-0.1, 2.1, np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            pulse.v_integral(tau)
 
 
 def test_linear_ramp_pulse():
@@ -101,6 +111,25 @@ def test_pulse_from_csv(tmp_path):
             fh.write(f"{t:.17g},{exact.v(t):.17g}\n")
     pulse = BoundaryPulse.from_csv(path)
     assert pulse.b == pytest.approx(exact.b, rel=1e-6)
+    # Blank lines, comments and no header read the same samples.
+    with open(path) as fh:
+        body = fh.read().splitlines()[1:]
+    bare = tmp_path / "bare.csv"
+    bare.write_text("# tau, v\n\n" + "\n".join(body) + "  # last\n")
+    assert BoundaryPulse.from_csv(bare).b == pulse.b
+    bad = {
+        "ragged": "tau,v\n0,0\n0.5,0.1,3\n1,0\n",
+        "empty": "",
+        "header-only": "tau,v\n",
+        "three-columns": "0,0,0\n0.5,0.1,0\n1,0,0\n",
+        "text-in-body": "tau,v\n0,0\n0.5,high\n1,0\n",
+        "empty-field": "0,0\n0.5,\n1,0\n",
+    }
+    for name, text in bad.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            BoundaryPulse.from_csv(path)
 
 
 def test_wavelet_time_formula():
@@ -120,6 +149,10 @@ def test_wavelet_time_formula():
     assert np.array_equal(t, [wavelet_time(x, tau, pulse, GAS, SPH) for x, tau in zip(xs, taus)])
     with pytest.raises(DomainError):
         wavelet_time(xs, np.append(taus[:-1], 1.5), pulse)
+    with pytest.raises(DomainError):
+        wavelet_time(2.0, np.nan, pulse)
+    with pytest.raises(DomainError):
+        wavelet_time(xs, np.append(taus[:-1], np.nan), pulse)
 
 
 def test_formation_distance():
@@ -271,9 +304,9 @@ def test_table_pulse_fit_is_exact_pchip_root(geom):
         assert tau == pytest.approx(ref, rel=1e-13)
 
 
-# Pulse calls (v plus v_integral) per fit: two for the scan, two a pass of
-# the root finder, two for the fitted state.  Bisection to adjacent doubles
-# takes ~100.
+# Pulse calls per fit: three for the scan (v, and v_integral with the
+# integral inside it), two a pass of the root finder (v and the integral),
+# one for the fitted state.  Bisection to adjacent doubles takes ~100.
 FIT_CALL_BUDGET = 64
 
 
@@ -289,6 +322,7 @@ def _counted_pulse_calls(pulse):
 
     pulse.v = counted(pulse.v)
     pulse.v_integral = counted(pulse.v_integral)
+    pulse._integral = counted(pulse._integral)
     return calls
 
 
@@ -588,8 +622,36 @@ def test_simple_wave_inversion_roundtrip():
         rhs = u * (1.0 + 0.2 * u) ** 5
         assert simple_wave_u(rhs, GAS) == pytest.approx(u, rel=1e-12, abs=1e-14)
     assert simple_wave_u(0.0, GAS) == 0.0
-    with pytest.raises(DomainError):
-        simple_wave_u(-0.1, GAS)
+    for rhs in (-0.1, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            simple_wave_u(rhs, GAS)
+
+
+def _exact_riemann_residual(u, rhs, gamma):
+    """u (1 + (gamma-1)u/2)^(2/(gamma-1)) - rhs in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = (Decimal(gamma) - 1) / 2
+        u = Decimal(u)
+        return float(u * ((1 + a * u).ln() / a).exp() - Decimal(rhs))
+
+
+def test_simple_wave_inversion_sweep():
+    # gamma in (1, 3] and rhs log-uniform over [1e-14, 1e3], plus corners
+    # near gamma = 1, where (1 + (gamma-1)u/2) rounds before a large power.
+    # Above rhs ~ 0.5 the series start leaves (0, rhs] and the u (1 + u) = rhs
+    # bound is used; above 1 the tolerance is relative.
+    rng = np.random.default_rng(63)
+    n = 400
+    gammas = np.append(3.0 - 2.0 * rng.random(n), [1.0 + 1e-9, 1.001, 1.001, 3.0])
+    rhss = np.append(10.0 ** rng.uniform(-14.0, 3.0, n), [1e3, 1.0, 10.0, 1e3])
+    series = rhss - rhss**2 + 0.5 * (3.0 + 0.5 * (gammas - 1.0)) * rhss**3
+    assert np.sum(series > rhss) > n // 10  # the draws that use the bound start
+    for gamma, rhs in zip(gammas, rhss):
+        u = simple_wave_u(rhs, GasParams(gamma))
+        assert 0.0 < u <= rhs
+        residual = _exact_riemann_residual(u, rhs, gamma)
+        assert abs(residual) < ROOT_RESIDUAL_TOL * max(1.0, rhs), (gamma, rhs)
 
 
 def test_simple_wave_linear_deviation_is_quadratic():
