@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    GL_NODES,
+    GL_WEIGHTS,
     GasParams,
     Geometry,
     as_scalar,
@@ -95,6 +97,19 @@ def integrate_ccw(
     method inside its panel (Phi' = -f).  The history ends at the last
     sample with U - 1 at or above WEAK_LIMIT_FLOOR.
     """
+    return integrate_ccw_geometries(U0, gas, [geom], x_end, variant, n_samples)[geom]
+
+
+def integrate_ccw_geometries(
+    U0, gas, geoms, x_end=100.0, variant=CcwVariant.GENERALIZED, n_samples=200
+):
+    """integrate_ccw for each geometry of ``geoms``: {Geometry: CcwHistory}.
+
+    Phi depends on U0, gas and variant only: one table and one Newton
+    iteration serve all curved fronts (a planar one keeps U = U0).  Each
+    geometry steps until all its samples pass and sums its quadratures apart
+    (BLAS rounds a row by its place), so each history is integrate_ccw's.
+    """
     if not 1.0 + WEAK_LIMIT_FLOOR < U0 < math.inf:
         raise DomainError(
             f"initial Mach number must be finite and exceed 1 + {WEAK_LIMIT_FLOOR:g}"
@@ -103,6 +118,43 @@ def integrate_ccw(
         raise DomainError("x_end must be finite and exceed the initial position x = 1")
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
+    f, edges, phi = _phi_table(U0, gas, variant)
+    xs = np.geomspace(1.0, x_end, n_samples)
+    log_x = np.log(xs)
+    target = [t[t <= phi[-1]] for t in (geom.j * log_x for geom in geoms)]
+    panel = [np.minimum(np.searchsorted(phi, t, side="right") - 1, edges.size - 2) for t in target]
+    s = [np.interp(t, phi, edges) for t in target]
+    live = [i for i, geom in enumerate(geoms) if geom.j]  # a planar front keeps U = U0
+    for _ in range(_NEWTON_CAP):
+        if not live:
+            break
+        a = np.concatenate([s[i] for i in live])
+        b = np.concatenate([edges[panel[i]] for i in live])
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * GL_NODES
+        f_a = f(np.concatenate((a, nodes.ravel())))  # f at a, then at the nodes, in one call
+        f_nodes, end = f_a[a.size:].reshape(nodes.shape), 0
+        for i in list(live):
+            rows = slice(end, end + s[i].size)
+            end = rows.stop
+            quad = half[rows] * (f_nodes[rows] @ GL_WEIGHTS)
+            step = (phi[panel[i]] + quad - target[i]) / f_a[rows]
+            s[i] = s[i] + step
+            # Phi(s) carries rounding of order eps * target, and s its own.
+            if np.all(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s[i]) + target[i])):
+                live.remove(i)
+    if live:
+        raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
+    out = {}
+    for geom, t, s_geom in zip(geoms, target, s):
+        U = np.where(t == 0.0, U0, 1.0 + np.exp(s_geom))  # x = 1, or any x on a planar front
+        p = jumps_from_mach(U, gas).p_jump
+        out[geom] = CcwHistory(x=xs[: U.size], U=U, p_jump=np.asarray(p), variant=variant)
+    return out
+
+
+def _phi_table(U0, gas, variant):
+    """The integrand f(s), the panel edges in s and Phi at those edges."""
     coeff = _COEFFICIENTS[variant]
 
     def f(s):
@@ -115,19 +167,4 @@ def integrate_ccw(
         phi = np.concatenate(([0.0], np.cumsum(gauss_legendre(f, edges[1:], edges[:-1]))))
     if not np.isfinite(phi[-1]):
         raise DomainError(f"the decay coefficient overflows for U0 = {U0}")
-    xs = np.geomspace(1.0, x_end, n_samples)
-    target = geom.j * np.log(xs)
-    target = target[target <= phi[-1]]
-    panel = np.minimum(np.searchsorted(phi, target, side="right") - 1, edges.size - 2)
-    s = np.interp(target, phi, edges)
-    for _ in range(_NEWTON_CAP):
-        step = (phi[panel] + gauss_legendre(f, s, edges[panel]) - target) / f(s)
-        s += step
-        # Phi(s) carries rounding of order eps * target, and s its own.
-        if np.all(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s) + target)):
-            break
-    else:
-        raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
-    U = np.where(target == 0.0, U0, 1.0 + np.exp(s))  # x = 1, or any x on a planar front
-    p = jumps_from_mach(U, gas).p_jump
-    return CcwHistory(x=xs[: U.size], U=U, p_jump=np.asarray(p), variant=variant)
+    return f, edges, phi

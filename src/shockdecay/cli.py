@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw
+from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw, integrate_ccw_geometries
 from .core import GasParams, Geometry, mach_from_p_jump, write_csv
 from .errors import ConfigError, DomainError, ShockError, SolverError
 from .transport import (
@@ -35,6 +35,7 @@ from .transport import (
 from .wavefront import (
     BoundaryPulse,
     fit_shock,
+    fit_shock_geometries,
     formation_distance,
     simple_wave_u,
     wngo_decay,
@@ -227,6 +228,14 @@ def _corrected_slope(x, y, geom):
     return decay_slope(x, y)
 
 
+def _attempt(pipeline, *args):
+    """pipeline(*args), or the ShockError it raised."""
+    try:
+        return pipeline(*args)
+    except ShockError as exc:
+        return exc
+
+
 def _pipeline_transport(gas, geom, h, k, x_end, out_dir):
     scen = Scenario(gas=gas, geom=geom, h=h, k=k, x_end=x_end)
     hist = integrate_truncated(scen, n_samples=240)
@@ -241,8 +250,7 @@ def _pipeline_transport(gas, geom, h, k, x_end, out_dir):
     return {"precursor_exponent": precursor, "acoustic_exponent": acoustic}
 
 
-def _pipeline_wngo(gas, geom, h, x_end, out_dir):
-    pulse = BoundaryPulse.half_sine(h, 1.0)
+def _wngo_grid(pulse, gas, geom, x_end):
     x_form = formation_distance(pulse, gas, geom)
     lo = max(10.0 * x_form, x_end / 100.0)
     if lo >= x_end / 2.0:
@@ -250,21 +258,29 @@ def _pipeline_wngo(gas, geom, h, x_end, out_dir):
             f"x_end = {x_end} leaves no asymptotic window above 10 * formation "
             f"distance {x_form:.6g}"
         )
-    fitted = fit_shock(pulse, gas, geom, np.geomspace(lo, x_end, 120))
-    exponent = _corrected_slope(fitted.x, fitted.u_jump, geom)
-    if out_dir:
-        fitted.to_csv(
-            f"{out_dir}/wngo_{geom.name}.csv",
-            reference=wngo_decay(pulse.b, gas, geom, fitted.x),
-        )
-    return {
-        "exponent": exponent,
-        "formation_distance": x_form,
-        "pulse_integral": pulse.b,
-    }
+    return np.geomspace(lo, x_end, 120)
 
 
-def _pipeline_simple_wave(gas, geom):
+def _pipeline_wngo(gas, geometries, h, x_end, out_dir):
+    """The half-sine pulse fitted in every geometry by one equal-area solve."""
+    pulse = BoundaryPulse.half_sine(h, 1.0)
+    out = {geom: _attempt(_wngo_grid, pulse, gas, geom, x_end) for geom in geometries}
+    grids = {geom: x for geom, x in out.items() if not isinstance(x, ShockError)}
+    for geom, fitted in fit_shock_geometries(pulse, gas, grids).items():
+        if out_dir:
+            fitted.to_csv(
+                f"{out_dir}/wngo_{geom.name}.csv",
+                reference=wngo_decay(pulse.b, gas, geom, fitted.x),
+            )
+        out[geom] = {
+            "exponent": _corrected_slope(fitted.x, fitted.u_jump, geom),
+            "formation_distance": fitted.x_formation,
+            "pulse_integral": pulse.b,
+        }
+    return out
+
+
+def _pipeline_simple_wave(gas):
     """Max |inverted - linear| deviation for two half-sine pulse amplitudes.
 
     The inversion u(r) of u (1 + (gamma-1)u/2)^(2/(gamma-1)) = r has
@@ -276,24 +292,38 @@ def _pipeline_simple_wave(gas, geom):
     return {"deviation_0.01": high, "deviation_0.001": low, "quadratic_ratio": high / low}
 
 
-def _pipeline_ccw(gas, geom, h, x_end, out_dir):
+def _pipeline_ccw(gas, geometries, h, x_end, out_dir):
+    """Both decay rules, each run once for all geometries."""
     u0 = mach_from_p_jump(h, gas)
+    runs = {
+        variant: integrate_ccw_geometries(u0, gas, geometries, x_end, variant, n_samples=240)
+        for variant in (CcwVariant.GENERALIZED, CcwVariant.CLASSIC)
+    }
+    return {geom: _attempt(_ccw_entry, u0, geom, runs, out_dir) for geom in geometries}
+
+
+def _ccw_entry(u0, geom, runs, out_dir):
     out = {"U0": u0}
-    runs = []
-    for variant in (CcwVariant.GENERALIZED, CcwVariant.CLASSIC):
-        run = integrate_ccw(u0, gas, geom, x_end, variant, n_samples=240)
+    for variant, by_geom in runs.items():
+        run = by_geom[geom]
         if out_dir:
             run.to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
         # Fit over the last two decades each run actually reached; a strongly
         # converging front hits the weak-limit floor well before a large x_end.
         window = run.x >= run.x[-1] / 100.0
         out[f"{variant.value}_exponent"] = decay_slope(run.x[window], run.p_jump[window])
-        runs.append(run)
-    gen, cla = runs
+    gen, cla = (by_geom[geom] for by_geom in runs.values())
     n = min(gen.x.size, cla.x.size)
     gap = np.max(np.abs((cla.U[:n] - gen.U[:n]) / np.maximum(gen.U[:n] - 1.0, 1e-300)))
     out["variant_gap"] = float(gap)
     return out
+
+
+# Each pair compares two routes' exponents of the same decay branch.
+_PAIRS = {
+    "precursor_gap": (("transport", "precursor_exponent"), ("wngo", "exponent")),
+    "acoustic_gap": (("transport", "acoustic_exponent"), ("ccw", "generalized_exponent")),
+}
 
 
 def cmd_compare_methods(args):
@@ -315,44 +345,32 @@ def cmd_compare_methods(args):
     out_dir = args.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    report = {
-        "gamma": args.gamma,
-        "h": h,
-        "k": k,
-        "x_end": x_end,
-        "geometries": {},
+    report = {"gamma": args.gamma, "h": h, "k": k, "x_end": x_end, "geometries": {}}
+    # Each route runs once for all geometries (transport once for each) and
+    # answers every geometry with its entry or the ShockError that failed it.
+    routes = {
+        "transport": {
+            geom: _attempt(_pipeline_transport, gas, geom, h, k, x_end, out_dir)
+            for geom in geometries
+        },
+        "wngo": _attempt(_pipeline_wngo, gas, geometries, h, x_end, out_dir),
+        "simple_wave": _attempt(lambda: dict.fromkeys(geometries, _pipeline_simple_wave(gas))),
+        "ccw": _attempt(_pipeline_ccw, gas, geometries, h, x_end, out_dir),
     }
     any_failed = False
     for geom in geometries:
-        pipelines = {
-            "transport": (_pipeline_transport, h, k, x_end, out_dir),
-            "wngo": (_pipeline_wngo, h, x_end, out_dir),
-            "simple_wave": (_pipeline_simple_wave,),
-            "ccw": (_pipeline_ccw, h, x_end, out_dir),
-        }
-        entry = {}
-        for name, (pipeline, *rest) in pipelines.items():
-            try:
-                entry[name] = pipeline(gas, geom, *rest)
-            except ShockError as exc:
-                entry[name] = {"status": "failed", "error": str(exc)}
+        entry = report["geometries"][geom.name] = {}
+        for name, results in routes.items():
+            result = results if isinstance(results, ShockError) else results[geom]
+            if isinstance(result, ShockError):
+                result = {"status": "failed", "error": str(result)}
                 any_failed = True
-        pairs = {}
-        if "exponent" in entry.get("wngo", {}) and "precursor_exponent" in entry.get(
-            "transport", {}
-        ):
-            pairs["precursor_gap"] = abs(
-                entry["transport"]["precursor_exponent"] - entry["wngo"]["exponent"]
-            )
-        if "generalized_exponent" in entry.get("ccw", {}) and "acoustic_exponent" in entry.get(
-            "transport", {}
-        ):
-            pairs["acoustic_gap"] = abs(
-                entry["transport"]["acoustic_exponent"]
-                - entry["ccw"]["generalized_exponent"]
-            )
-        entry["pairs"] = pairs
-        report["geometries"][geom.name] = entry
+            entry[name] = result
+        entry["pairs"] = {
+            pair: abs(entry[route_a][key_a] - entry[route_b][key_b])
+            for pair, ((route_a, key_a), (route_b, key_b)) in _PAIRS.items()
+            if key_a in entry[route_a] and key_b in entry[route_b]
+        }
     report["status"] = "partial" if any_failed else "ok"
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:

@@ -17,7 +17,10 @@ import numpy as np
 from .errors import DomainError
 
 GEOMETRY_NAMES = {"planar": 0, "cylindrical": 1, "spherical": 2}
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# Largest accepted x_end (inclusive): the transport and CCW routes are
+# checked against their oracles up to this range, and not beyond it.
+MAX_X_END = 1e18
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def as_scalar(*values):
 def gauss_legendre(f, a, b):
     """8-point Gauss-Legendre value of int_a^b f, elementwise over numpy a, b."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * (f(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+    return half * (f(mid[..., None] + half[..., None] * GL_NODES) @ GL_WEIGHTS)
 
 
 def write_csv(dest, header, columns):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_X_END,
     GasParams,
     Geometry,
     as_scalar,
@@ -42,10 +43,6 @@ from .core import (
     write_csv,
 )
 from .errors import BreakdownError, DomainError
-
-# Largest accepted x_end (inclusive): the transport and CCW routes are
-# checked against their oracles up to this range, and not beyond it.
-MAX_X_END = 1e18
 
 
 @dataclass(frozen=True)

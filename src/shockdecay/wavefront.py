@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_X_END,
     GasParams,
     Geometry,
     as_scalar,
@@ -233,12 +234,15 @@ def wavelet_time(x, tau, pulse, gas=GasParams(), geom=Geometry(0)):
 
 
 def formation_distance(pulse, gas=GasParams(), geom=Geometry(0)):
-    """Position where the lead shock first forms from the pulse head."""
+    """Where the lead shock forms from the pulse head; DomainError past MAX_X_END."""
     if pulse.vdot0 <= 0.0:
         raise FittingError(
             "pulse head is not compressive (v'(0) <= 0); no lead shock forms"
         )
-    return ray_integral_inverse(2.0 / ((gas.gamma + 1.0) * pulse.vdot0), geom)
+    J_form = 2.0 / ((gas.gamma + 1.0) * pulse.vdot0)
+    if not J_form <= ray_integral(MAX_X_END, geom):
+        raise DomainError(f"the lead shock forms beyond x = {MAX_X_END:g}")
+    return ray_integral_inverse(J_form, geom)
 
 
 FITTED_CSV_HEADER = "x,tau_minus,u_jump,ux_jump,shock_time"
@@ -300,31 +304,65 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     where a table pulse puts its sharp features; a peak of R narrower than
     the spacing and away from every knot can still be missed.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size == 0:
-        raise DomainError("x_grid must be a one-dimensional, nonempty array")
-    if x_grid[0] <= 1.0 or np.any(np.diff(x_grid) <= 0.0):
-        raise DomainError("x_grid must be strictly increasing with x_grid[0] > 1")
-    x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
-    if x_grid[0] <= x_form:
-        raise FittingError(
-            f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
-            f"at x = {x_form}"
-        )
-    g = gas.gamma
-    c = 0.25 * (g + 1.0)
-    tau0 = pulse.tau0
-    J = ray_integral(x_grid, geom)
+    return fit_shock_geometries(pulse, gas, {geom: x_grid})[geom]
 
-    scan = np.union1d(np.linspace(0.0, tau0, 400), pulse.knots)
+
+def fit_shock_geometries(pulse, gas, grids):
+    """fit_shock for each geometry of ``grids``, a {Geometry: x_grid} dict.
+
+    Geometry enters the root search only through J(x), so one tau scan and
+    one Illinois iteration serve every geometry.  Each fit is fit_shock's to
+    the last bit, unless the pulse integral comes from panel quadrature (BLAS
+    rounds its sums by array position).  Raises what fit_shock raises for
+    the first geometry it refuses.
+    """
+    checked = []
+    for geom, x_grid in grids.items():
+        x_grid = np.asarray(x_grid, dtype=float)
+        if x_grid.ndim != 1 or x_grid.size == 0:
+            raise DomainError("x_grid must be a one-dimensional, nonempty array")
+        if x_grid[0] <= 1.0 or np.any(np.diff(x_grid) <= 0.0):
+            raise DomainError("x_grid must be strictly increasing with x_grid[0] > 1")
+        x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
+        if x_grid[0] <= x_form:
+            raise FittingError(
+                f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
+                f"at x = {x_form}"
+            )
+        checked.append((geom, x_grid, x_form, ray_integral(x_grid, geom)))
+    if not checked:
+        return {}
+    g, tau0 = gas.gamma, pulse.tau0
+    x = np.concatenate([c[1] for c in checked])
+    taus = _equal_area_roots(pulse, 0.25 * (g + 1.0), x, np.concatenate([c[3] for c in checked]))
+    taus = np.split(taus, np.cumsum([c[1].size for c in checked])[:-1])
+    out = {}
+    for (geom, x_grid, x_form, J), tau in zip(checked, taus):
+        v_tau = pulse.v(tau)
+        s = tau + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J  # wavelet_time, reusing J, v
+        ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
+        out[geom] = FittedShock(
+            x=x_grid,
+            tau_minus=tau,
+            u_jump=v_tau * psi(x_grid, geom),
+            ux_jump=np.where(x_grid >= 10.0 * x_form, ux, np.nan),
+            shock_time=s,
+            tau0=tau0,
+            x_formation=x_form,
+        )
+    return out
+
+
+def _equal_area_roots(pulse, c, x, J):
+    """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
+    scan = np.union1d(np.linspace(0.0, pulse.tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
     B = pulse.v_integral(scan[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
     cell = np.searchsorted(np.maximum.accumulate(R), J)
-    if cell[-1] == R.size:
-        x_bad = x_grid[np.argmax(cell == R.size)]
-        raise FittingError(f"no root in (0, {tau0}] at x = {x_bad}")
+    if np.any(cell == R.size):
+        raise FittingError(f"no root in (0, {pulse.tau0}] at x = {x[np.argmax(cell == R.size)]}")
     lo, hi = scan[cell], scan[cell + 1]  # F > 0 just above lo, F(hi) <= 0
     f_lo = np.where(cell > 0, cv2[cell - 1] * J - B[cell - 1], 0.0)
     f_hi = cv2[cell] * J - B[cell]
@@ -337,7 +375,7 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
         if not split.all():  # closed to adjacent doubles: tau_- = hi, done
             taus[live[~split]] = hi[~split]
             if not split.any():
-                break
+                return taus
             live, Jl, lo, hi, mid, f_lo, f_hi, above, below = (
                 z[split] for z in (live, Jl, lo, hi, mid, f_lo, f_hi, above, below)
             )
@@ -354,21 +392,6 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
         above, below = up, ~up
         lo, f_lo = np.where(above, t, lo), np.where(above, f, f_lo)
         hi, f_hi = np.where(below, t, hi), np.where(below, f, f_hi)
-
-    v_tau = pulse.v(taus)
-    u_jump = v_tau * psi(x_grid, geom)
-    s = taus + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J  # wavelet_time, reusing J and v(tau_-)
-    ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
-    ux = np.where(x_grid >= 10.0 * x_form, ux, np.nan)
-    return FittedShock(
-        x=x_grid,
-        tau_minus=taus,
-        u_jump=u_jump,
-        ux_jump=ux,
-        shock_time=s,
-        tau0=tau0,
-        x_formation=x_form,
-    )
 
 
 def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
@@ -404,13 +427,14 @@ def simple_wave_u(rhs, gas=GasParams()):
     Safeguarded Newton iteration from the inverse series u = r - r^2 + (3+a)/2 r^3,
     a = (gamma-1)/2, or where that leaves (0, r] from the root of u (1 + u) = r
     (an upper bound for gamma <= 3); converged to |residual| < 1e-13 max(1, rhs).
+    A power that overflows bisects down; a residual above rhs steps in log u.
     """
     if not 0.0 <= rhs < math.inf:
         raise DomainError("rhs must be finite and >= 0 (the expansive branch is out of scope)")
     r = float(rhs)
     if r == 0.0:
         return 0.0
-    g = gas.gamma
+    g = float(gas.gamma)  # a float overflows to inf quietly; a numpy scalar warns
     a = 0.5 * (g - 1.0)
     e1 = (3.0 - g) / (g - 1.0)  # 2/(gamma-1) - 1
     # Half the tolerance leaves room for a caller's residual in another rounding;
@@ -422,7 +446,11 @@ def simple_wave_u(rhs, gas=GasParams()):
         u = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r))
     for _ in range(100):
         s = 1.0 + a * u
-        p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s
+        try:
+            p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s
+        except OverflowError:  # an infinite residual: the root lies below u
+            hi, u = u, 0.5 * (lo + u)
+            continue
         res = u * s * p - r
         if abs(res) < tol:
             return u
@@ -430,7 +458,10 @@ def simple_wave_u(rhs, gas=GasParams()):
             hi = u
         else:
             lo = u
-        u_new = u - res / (p * (s + u))
+        if res > r:  # far above the root, Newton in u crawls down the steep power
+            u_new = u * math.exp(-math.log1p(res / r) / (1.0 + u / s))  # Newton in log u
+        else:
+            u_new = u - res / (p * (s + u))
         if not lo < u_new < hi:
             u_new = 0.5 * (lo + hi)
         u = u_new

@@ -26,7 +26,7 @@ from shockdecay import (
     mach_from_p_jump,
 )
 from shockdecay import ccw
-from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory
+from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory, integrate_ccw_geometries
 
 GAS = GasParams(1.4)
 COEFFICIENT = {CcwVariant.CLASSIC: g_classic, CcwVariant.GENERALIZED: g_generalized}
@@ -201,6 +201,21 @@ def test_newton_cap_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(ccw, "_NEWTON_CAP", 1)
     with pytest.raises(SolverError):
         integrate_ccw(1.5, GAS, Geometry(2), x_end=100.0)
+
+
+@pytest.mark.parametrize("U0, gamma", [(1.0001, 1.4), (1.02, 1.1), (1.5, 5.0 / 3.0), (10.0, 3.0)])
+def test_geometries_in_one_call_match_single_calls(U0, gamma):
+    # One Phi table and one Newton iteration for all geometries give each
+    # geometry's integrate_ccw history bit for bit, also where the spherical
+    # run stops at the weak-limit floor and the cylindrical one does not.
+    gas, geoms = GasParams(gamma), [Geometry(2), Geometry(0), Geometry(1)]
+    for variant in CcwVariant:
+        batch = integrate_ccw_geometries(U0, gas, geoms, 1e12, variant, 237)
+        assert list(batch) == geoms
+        for geom in geoms:
+            single = integrate_ccw(U0, gas, geom, 1e12, variant, 237)
+            for field in ("x", "U", "p_jump"):
+                np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
 
 
 def test_integrate_ccw_validation():

@@ -14,13 +14,20 @@ import pytest
 
 from shockdecay import (
     BoundaryPulse,
+    CcwVariant,
     GasParams,
     Geometry,
     asymptotic_law,
+    ccw,
     cli,
     closed_form,
+    fit_shock,
+    formation_distance,
+    integrate_ccw,
+    mach_from_p_jump,
     psi,
     simple_wave_u,
+    wngo_decay,
 )
 from shockdecay.cli import main
 from shockdecay.transport import CSV_HEADER, breakdown_distance
@@ -297,6 +304,19 @@ def test_fit_shock_csv(tmp_path):
     assert data["u_jump"][-1] == pytest.approx(data["u_asym"][-1], rel=0.02)
 
 
+def test_fit_shock_far_spherical_formation_is_config_error(tmp_path, capsys):
+    # A sin^2 head has v'(0) ~ 0, so the spherical shock forms past any
+    # representable position: bad input (exit 2), without an overflow warning.
+    taus = np.linspace(0.0, 1.0, 41)
+    values = 0.05 * np.sin(np.pi * taus) ** 2
+    values[-1] = 0.0
+    table = tmp_path / "pulse.csv"
+    np.savetxt(table, np.column_stack((taus, values)), delimiter=",")
+    argv = ["fit-shock", "--geometry", "spherical", "--pulse", "table", "--pulse-file", str(table)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the lead shock forms beyond x = 1e+18\n"
+
+
 def test_fit_shock_zero_pulse_is_numerical_failure():
     assert main(["fit-shock", "--v0", "0"]) == 3
 
@@ -383,7 +403,7 @@ def test_simple_wave_deviation_is_the_grid_maximum(gamma, j, x_end):
                 rhs = pulse.v(tau) * psi(x, geom)
                 dev = max(dev, abs(simple_wave_u(rhs, gas) - rhs))
         expected[f"deviation_{eps:g}"] = dev
-    out = cli._pipeline_simple_wave(gas, geom)
+    out = cli._pipeline_simple_wave(gas)
     assert {k: out[k] for k in expected} == expected
     assert out["quadratic_ratio"] == expected["deviation_0.01"] / expected["deviation_0.001"]
 
@@ -407,6 +427,84 @@ def test_compare_methods_partial_failure(tmp_path, capsys):
     assert report["status"] == "partial"
     assert report["geometries"]["planar"]["wngo"]["status"] == "failed"
     assert "precursor_gap" not in report["geometries"]["planar"]["pairs"]
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.4, 5.0 / 3.0])
+def test_compare_methods_csvs_match_single_geometry_calls(gamma, tmp_path):
+    # Each route runs once for all geometries; its CSVs must be, byte for
+    # byte, those of the single-geometry library calls on the same inputs.
+    out_dir, ref = tmp_path / "csv", tmp_path / "ref.csv"
+    assert main(["compare-methods", "--gamma", repr(gamma), "--out-dir", str(out_dir),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    gas, h, x_end = GasParams(gamma), 0.05, 1e12
+    pulse, U0 = BoundaryPulse.half_sine(h, 1.0), mach_from_p_jump(h, gas)
+    for geom in map(Geometry, (0, 1, 2)):
+        lo = max(10.0 * formation_distance(pulse, gas, geom), x_end / 100.0)
+        fitted = fit_shock(pulse, gas, geom, np.geomspace(lo, x_end, 120))
+        fitted.to_csv(ref, reference=wngo_decay(pulse.b, gas, geom, fitted.x))
+        assert (out_dir / f"wngo_{geom.name}.csv").read_bytes() == ref.read_bytes()
+        for variant in CcwVariant:
+            integrate_ccw(U0, gas, geom, x_end, variant, n_samples=240).to_csv(ref)
+            name = f"ccw_{variant.value}_{geom.name}.csv"
+            assert (out_dir / name).read_bytes() == ref.read_bytes(), name
+
+
+def test_compare_methods_failures_stay_per_geometry(tmp_path):
+    # At x_end = 1e3 only the spherical front forms too late for a fitting
+    # window; the batched fit must still answer the other two geometries.
+    path = tmp_path / "report.json"
+    assert main(["compare-methods", "--x-end", "1e3", "--report", str(path)]) == 4
+    report = json.loads(path.read_text())
+    assert report["status"] == "partial"
+    ccw_keys = {"U0", "generalized_exponent", "classic_exponent", "variant_gap"}
+    for name, entry in report["geometries"].items():
+        failed = sorted(route for route, block in entry.items() if "status" in block)
+        assert failed == (["wngo"] if name == "spherical" else []), name
+        assert set(entry["ccw"]) == ccw_keys
+    for name in ("planar", "cylindrical"):
+        assert "exponent" in report["geometries"][name]["wngo"]
+        assert "precursor_gap" in report["geometries"][name]["pairs"]
+
+
+def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
+    # One default run does one equal-area scan (the pulse on the tau scan
+    # grid) and builds one Phi table per CCW rule, for all three geometries.
+    scan, scans, tables = np.linspace(0.0, 1.0, 400)[1:], [], []
+    half_sine, phi_table = BoundaryPulse.half_sine, ccw._phi_table
+
+    def counting_half_sine(v0, tau0):
+        pulse = half_sine(v0, tau0)
+        v = pulse.v
+
+        def counted(tau):
+            if np.shape(tau) == scan.shape and np.array_equal(tau, scan):
+                scans.append(tau)
+            return v(tau)
+
+        pulse.v = counted
+        return pulse
+
+    def counting_phi_table(*args):
+        tables.append(args)
+        return phi_table(*args)
+
+    monkeypatch.setattr(BoundaryPulse, "half_sine", staticmethod(counting_half_sine))
+    monkeypatch.setattr(ccw, "_phi_table", counting_phi_table)
+    assert main(["compare-methods"]) == 0
+    assert len(scans) == 1
+    assert sorted(variant.value for *_, variant in tables) == ["classic", "generalized"]
+
+
+def test_compare_methods_far_spherical_formation_is_a_failed_route(tmp_path, capsys):
+    # At h = 1e-4 the spherical formation distance exp(2/(2.4e-4 pi)) is out
+    # of range: that route fails, quietly, and the others are reported.
+    path = tmp_path / "report.json"
+    assert main(["compare-methods", "--h", "1e-4", "--report", str(path)]) == 4
+    assert capsys.readouterr().err == ""
+    report = json.loads(path.read_text())
+    assert report["geometries"]["spherical"]["wngo"] == {
+        "status": "failed", "error": "the lead shock forms beyond x = 1e+18"}
+    assert "exponent" in report["geometries"]["cylindrical"]["wngo"]
 
 
 def test_compare_methods_deterministic(tmp_path):

@@ -34,13 +34,14 @@ from shockdecay import (
     wavelet_time,
     wngo_decay,
 )
-from shockdecay.core import far_field_gradient
+from shockdecay.core import MAX_X_END, far_field_gradient
 from shockdecay.transport import asymptotic_law
 from shockdecay.wavefront import (
     FITTED_CSV_HEADER,
     ROOT_RESIDUAL_TOL,
     FittedShock,
     _gradient_shape,
+    fit_shock_geometries,
 )
 
 GAS = GasParams(1.4)
@@ -175,6 +176,19 @@ def test_formation_distance():
     )
     with pytest.raises(FittingError):
         formation_distance(expansive, GAS, PLANAR)
+
+
+def test_formation_beyond_the_checked_range_is_a_domain_error():
+    # The spherical formation distance exp(2/((gamma+1) v'(0))) overflows at
+    # v0 = 1e-4; a formation past MAX_X_END is refused in every geometry.
+    weak = BoundaryPulse.half_sine(1e-4, 1.0)
+    assert formation_distance(weak, GAS, PLANAR) == pytest.approx(1.0 + 2.0 / (2.4e-4 * np.pi))
+    with pytest.raises(DomainError, match="forms beyond"):
+        formation_distance(weak, GAS, SPH)
+    with pytest.raises(DomainError, match="forms beyond"):
+        formation_distance(BoundaryPulse.half_sine(1e-20, 1.0), GAS, PLANAR)
+    at_limit = BoundaryPulse.linear_ramp(2.0 / (2.4 * np.log(MAX_X_END)), 1.0)
+    assert formation_distance(at_limit, GAS, SPH) == pytest.approx(MAX_X_END)
 
 
 def area_rule_residual(pulse, gas, geom, x, tau):
@@ -515,6 +529,26 @@ def test_fit_shock_gradient_masking():
     assert fitted.tau0 == 1.0
 
 
+def test_fit_shock_geometries_match_single_fits():
+    # One tau scan and one Illinois iteration for all geometries: every fit
+    # is fit_shock's bit for bit, and a grid fit_shock refuses is refused.
+    taus = np.linspace(0.0, 1.0, 30)
+    pulse = BoundaryPulse.from_table(taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.3 * taus))
+    grids = {
+        geom: np.geomspace(1.5 * formation_distance(pulse, GAS, geom), 1e10, n)
+        for geom, n in ((SPH, 57), (PLANAR, 120), (CYL, 3))
+    }
+    batch = fit_shock_geometries(pulse, GAS, grids)
+    assert list(batch) == [SPH, PLANAR, CYL]
+    for geom, grid in grids.items():
+        single = fit_shock(pulse, GAS, geom, grid)
+        for field in ("x", "tau_minus", "u_jump", "ux_jump", "shock_time", "x_formation"):
+            np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        fit_shock_geometries(pulse, GAS, {**grids, PLANAR: grids[PLANAR][::-1]})
+    assert fit_shock_geometries(pulse, GAS, {}) == {}
+
+
 def test_fit_shock_rejects_bad_input():
     pulse = BoundaryPulse.half_sine(0.1, 1.0)
     with pytest.raises(FittingError):
@@ -637,14 +671,20 @@ def _exact_riemann_residual(u, rhs, gamma):
 
 
 def test_simple_wave_inversion_sweep():
-    # gamma in (1, 3] and rhs log-uniform over [1e-14, 1e3], plus corners
-    # near gamma = 1, where (1 + (gamma-1)u/2) rounds before a large power.
-    # Above rhs ~ 0.5 the series start leaves (0, rhs] and the u (1 + u) = rhs
-    # bound is used; above 1 the tolerance is relative.
+    # gamma in (1, 3] and rhs log-uniform over [1e-14, 1e12], plus corners
+    # near gamma = 1, where (1 + (gamma-1)u/2) rounds before a large power,
+    # and where that power overflows a double at the u (1 + u) = rhs start.
+    # Above rhs ~ 0.5 the series start leaves (0, rhs] and that bound is
+    # used; above 1 the tolerance is relative.
     rng = np.random.default_rng(63)
     n = 400
-    gammas = np.append(3.0 - 2.0 * rng.random(n), [1.0 + 1e-9, 1.001, 1.001, 3.0])
-    rhss = np.append(10.0 ** rng.uniform(-14.0, 3.0, n), [1e3, 1.0, 10.0, 1e3])
+    gammas = np.append(
+        3.0 - 2.0 * rng.random(n),
+        [1.0 + 1e-9, 1.001, 1.001, 3.0, 1.01, 1.01, 1.01, 1.1, 1.0 + 1e-9, 1.001],
+    )
+    rhss = np.append(
+        10.0 ** rng.uniform(-14.0, 12.0, n), [1e3, 1.0, 10.0, 1e3, 1e6, 1e8, 1e12, 1e8, 1e12, 1e12]
+    )
     series = rhss - rhss**2 + 0.5 * (3.0 + 0.5 * (gammas - 1.0)) * rhss**3
     assert np.sum(series > rhss) > n // 10  # the draws that use the bound start
     for gamma, rhs in zip(gammas, rhss):
