@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -393,8 +394,9 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def _parser():
-    """The argument parser and its subparsers by name.
+    """The argument parser and its subparsers by name, built once per process.
 
     Each subcommand has --gamma, --config and those shared flags it reads,
     with its own defaults; abbreviated flags are refused.
@@ -457,6 +459,11 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    Every call shares one parser, built on the first, and a --config file
+    applies to its own call only.  Not safe to call from two threads at once.
+    """
     parser, commands = _parser()
     try:
         args = parser.parse_args(argv)
@@ -464,10 +471,16 @@ def main(argv=None):
             parser.print_usage(file=sys.stderr)
             return 2
         if args.config:
-            # Config values become the subcommand's defaults, so flags still
-            # win and argparse casts them with each flag's type.
-            commands[args.command].set_defaults(**_config_defaults(args.config, vars(args)))
-            args = parser.parse_args(argv)
+            # Config values become the subcommand's defaults for one re-parse,
+            # so flags still win and argparse casts them with each flag's type.
+            command = commands[args.command]
+            values = _config_defaults(args.config, vars(args))
+            prior = {dest: command.get_default(dest) for dest in values}
+            command.set_defaults(**values)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**prior)
         if "x_end" in vars(args) and not 1.0 < args.x_end <= MAX_X_END:
             raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {args.x_end}")
         if "samples" in vars(args) and args.samples < 2:

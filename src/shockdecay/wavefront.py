@@ -163,6 +163,8 @@ class BoundaryPulse:
         """v(tau) = v0 sin(pi tau / tau0)."""
         if not 0.0 < tau0 < math.inf:
             raise DomainError("pulse duration tau0 must be finite and positive")
+        if not math.isfinite(v0):
+            raise DomainError("pulse amplitude v0 must be finite")
         w = np.pi / tau0
 
         def v(tau):
@@ -176,6 +178,8 @@ class BoundaryPulse:
     @classmethod
     def linear_ramp(cls, m, tau0):
         """v(tau) = m tau (1 - tau/tau0): linear head, ramp back to zero."""
+        if not math.isfinite(m):
+            raise DomainError("ramp slope m must be finite")
 
         def v(tau):
             return m * tau * (1.0 - tau / tau0)
@@ -335,6 +339,8 @@ def fit_shock_geometries(pulse, gas, grids):
     g, tau0 = gas.gamma, pulse.tau0
     x = np.concatenate([c[1] for c in checked])
     taus = _equal_area_roots(pulse, 0.25 * (g + 1.0), x, np.concatenate([c[3] for c in checked]))
+    if np.any(taus == tau0):  # the limiting wavelet, where v = 0: [u] would read 0
+        raise FittingError(f"pulse too strong for tau_minus to be resolved below tau0 = {tau0}")
     taus = np.split(taus, np.cumsum([c[1].size for c in checked])[:-1])
     out = {}
     for (geom, x_grid, x_form, J), tau in zip(checked, taus):
@@ -353,13 +359,15 @@ def fit_shock_geometries(pulse, gas, grids):
     return out
 
 
+# For a strong pulse v^2 and F may overflow to +inf, which keeps F's sign; a
+# false-position step that is then not finite is replaced by the midpoint.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _equal_area_roots(pulse, c, x, J):
     """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
     scan = np.union1d(np.linspace(0.0, pulse.tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
     B = pulse.v_integral(scan[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
+    R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
     cell = np.searchsorted(np.maximum.accumulate(R), J)
     if np.any(cell == R.size):
         raise FittingError(f"no root in (0, {pulse.tau0}] at x = {x[np.argmax(cell == R.size)]}")
@@ -380,8 +388,7 @@ def _equal_area_roots(pulse, c, x, J):
                 z[split] for z in (live, Jl, lo, hi, mid, f_lo, f_hi, above, below)
             )
         step, width = 4.0 * np.spacing(hi), hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.minimum(np.maximum(lo - f_lo * width / (f_hi - f_lo), lo + step), hi - step)
+        t = np.minimum(np.maximum(lo - f_lo * width / (f_hi - f_lo), lo + step), hi - step)
         bisect = (f_lo == 0.0) | ~np.isfinite(t) | (width <= 2.0 * step) | (n >= 40)
         t = np.where(bisect, mid, t)
         # t lies in [0, tau0], so the unchecked integral stands in for v_integral.

@@ -567,3 +567,89 @@ def test_config_file_errors(tmp_path):
     nonnumeric = tmp_path / "nonnumeric.ini"
     nonnumeric.write_text("[run]\nh = abc\n")
     assert main(["evolve", "--config", str(nonnumeric)]) == 2
+
+
+@pytest.mark.parametrize("v0", ["1e50", "1e99", "1e150", "1e154", "1e155"])
+@pytest.mark.parametrize("shape", ["ramp", "half-sine"])
+def test_fit_shock_too_strong_pulse_is_numerical_failure(shape, v0, capsys):
+    # tau_- would round to tau0, where [u] reads 0: refused, without warnings.
+    assert main(["fit-shock", "--pulse", shape, "--v0", v0]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("too strong" if shape == "ramp" else "no root") in err
+
+
+@pytest.mark.parametrize("shape", ["ramp", "half-sine"])
+def test_fit_shock_infinite_amplitude_is_config_error(shape, capsys):
+    assert main(["fit-shock", "--pulse", shape, "--v0", "inf"]) == 2
+    name = "ramp slope m" if shape == "ramp" else "pulse amplitude v0"
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+
+
+def _defaults(parser, commands):
+    """Every subparser's default for each dest its namespace holds."""
+    return {
+        name: {dest: sub.get_default(dest) for dest in vars(parser.parse_args([name]))}
+        for name, sub in commands.items()
+    }
+
+
+def test_parser_is_built_once_and_config_leaves_no_trace(tmp_path, capsys):
+    cli._parser.cache_clear()
+    runs = [
+        ["evolve", "--samples", "3"],
+        ["asymptote", "--samples", "3"],
+        ["ccw", "--samples", "3"],
+        ["fit-shock", "--samples", "3"],
+    ]
+    for i in range(20):
+        assert main(runs[i % len(runs)]) == 0
+    assert cli._parser.cache_info().misses == 1
+    parser, commands = cli._parser()
+    before = _defaults(parser, commands)
+    capsys.readouterr()
+
+    def plain(command):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    reference = {command: plain(command) for command in ("evolve", "fit-shock")}
+    run_ini, pulse_ini, bad_ini = (tmp_path / n for n in ("run.ini", "pulse.ini", "bad.ini"))
+    run_ini.write_text("[run]\nh = 0.2\nk = 5\ngeometry = cylindrical\n")
+    pulse_ini.write_text("[pulse]\nshape = ramp\nv0 = 0.08\ntau0 = 2.0\n")
+    bad_ini.write_text("[run]\nh = abc\n")
+    for command, config in (("evolve", run_ini), ("fit-shock", pulse_ini)):
+        assert main([command, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert plain(command) == reference[command]
+        assert _defaults(parser, commands) == before
+    stdout, csv = reference["evolve"]
+    assert stdout.startswith("evolve: planar, gamma=1.4, h=0.1, k=1.0,")
+    first = np.genfromtxt(csv.splitlines(), delimiter=",", names=True)[0]
+    assert (first["x"], first["p_jump"], first["px_jump"]) == (1.0, 0.1, 1.0)
+    assert "half-sine pulse" in reference["fit-shock"][0]
+    assert main(["evolve", "--config", str(bad_ini)]) == 2
+    assert _defaults(parser, commands) == before
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["evolve", "asymptote", "table1", "compare-methods", "fit-shock", "ccw"]
+)
+def test_repeated_calls_give_identical_bytes(command, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nh = 0.2\nk = 5\ngeometry = cylindrical\nsamples = 3\n")
+    other = "ccw" if command == "evolve" else "evolve"
+
+    def capture():
+        outcomes = []
+        for flag in ("--help", "--frobnicate"):
+            code = main([command, flag])
+            outcomes.append((code, *capsys.readouterr()))
+        return outcomes
+
+    first = capture()
+    assert main([other, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert capture() == first

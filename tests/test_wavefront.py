@@ -81,6 +81,14 @@ def test_custom_pulse_uses_cached_quadrature():
     assert pulse.b == pytest.approx(refb, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shape", [BoundaryPulse.half_sine, BoundaryPulse.linear_ramp])
+def test_pulse_rejects_non_finite_amplitude(shape, value):
+    # Rejected before any arithmetic: inf * 0 would warn first.
+    with pytest.raises(DomainError, match="must be finite"):
+        shape(value, 1.0)
+
+
 def test_pulse_requires_vanishing_endpoint():
     with pytest.raises(DomainError):
         BoundaryPulse(lambda t: 0.1, 1.0)
@@ -560,6 +568,19 @@ def test_fit_shock_rejects_bad_input():
     zero = BoundaryPulse(lambda t: 0.0 * t, 1.0, vdot0=0.0)
     with pytest.raises(FittingError):
         fit_shock(zero, GAS, PLANAR, np.array([10.0, 20.0]))
+
+
+@pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
+@pytest.mark.parametrize("v0", [1e50, 1e99, 1e150, 1e154, 1e155])
+def test_too_strong_pulse_is_a_fitting_error(v0, geom):
+    # tau_- would round to tau0, where v = 0 and [u] would read 0; v^2
+    # overflowing on the scan must not warn.
+    ramp = BoundaryPulse.linear_ramp(v0, 1.0)
+    grid = np.geomspace(1.1 * formation_distance(ramp, GAS, geom), 1e4, 20)
+    with pytest.raises(FittingError, match="too strong"):
+        fit_shock(ramp, GAS, geom, grid)
+    with pytest.raises(FittingError, match="no root"):
+        fit_shock(BoundaryPulse.half_sine(v0, 1.0), GAS, geom, grid)
 
 
 def test_fitted_csv(tmp_path):
