@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -393,6 +394,10 @@ _SHARED_FLAGS = {
     "out": (str, "output CSV path"),
 }
 
+# What float() reads as a negative number, so that a flag value such as -1e-3
+# or -inf is taken as a value; argparse's own pattern has no exponent or inf.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+
 
 @functools.cache
 def _parser():
@@ -409,6 +414,7 @@ def _parser():
 
     def command(name, func, help, **defaults):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--gamma", type=float, default=1.4, help="specific-heat ratio")
         for dest, (cast, text) in _SHARED_FLAGS.items():
             if dest in defaults:

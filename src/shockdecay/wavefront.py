@@ -131,6 +131,7 @@ class BoundaryPulse:
     """
 
     knots = ()
+    _root = None  # closed-form smallest root tau_-(c J) of the area rule, where known
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
         if not 0.0 < tau0 < math.inf:
@@ -173,7 +174,12 @@ class BoundaryPulse:
         def integral(tau):
             return v0 / w * (1.0 - np.cos(w * tau))
 
-        return cls(v, tau0, vdot0=v0 * w, integral=integral, label="half-sine")
+        def root(cJ):  # F = (1 - cos w tau)(c v0^2 J (1 + cos w tau) - v0/w)
+            return (np.pi - 2.0 * np.arcsin(np.sqrt(0.5 / (cJ * w * v0)))) / w
+
+        pulse = cls(v, tau0, vdot0=v0 * w, integral=integral, label="half-sine")
+        pulse._root = root
+        return pulse
 
     @classmethod
     def linear_ramp(cls, m, tau0):
@@ -187,7 +193,13 @@ class BoundaryPulse:
         def integral(tau):
             return m * (0.5 * tau**2 - tau**3 / (3.0 * tau0))
 
-        return cls(v, tau0, vdot0=m, integral=integral, label="ramp")
+        def root(cJ):  # F = m tau^2 (A (1 - s)^2 - 1/2 + s/3), A = c m J = a/6, s = tau/tau0
+            a = 6.0 * m * cJ
+            return tau0 * (a - 3.0) / (a - 1.0 + np.sqrt(1.0 + a))
+
+        pulse = cls(v, tau0, vdot0=m, integral=integral, label="ramp")
+        pulse._root = root
+        return pulse
 
     @classmethod
     def from_table(cls, taus, values):
@@ -294,19 +306,21 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     """Fit the lead shock at each grid position.
 
     x_grid must be strictly increasing with x_grid[0] > 1.  With
-    B(tau) = int_0^tau v, the equal-area rule reads F(tau) <= 0 exactly
-    when J(x) <= R(tau) := 4 B(tau)/((gamma+1) v(tau)^2), so the smallest
-    root tau_-(x) lies in the first cell of a tau scan where the running
-    maximum of R reaches J(x).  All those cells, with F at their ends from
-    the scan, are then narrowed together by Illinois false position (Dowell
-    & Jarratt 1971).  Each step lands at least four ulps inside its bracket,
-    so a one-sided approach crosses the root; it is the midpoint where
-    F(lo) = 0, where it is not finite, where the bracket spans at most two
-    margins, and after 40 passes.  Every bracket closes to adjacent doubles:
-    F(tau_-) <= 0 < F at the double below, and drops out of later passes.
-    The scan is uniform with spacing tau0/399 and holds the pulse knots,
-    where a table pulse puts its sharp features; a peak of R narrower than
-    the spacing and away from every knot can still be missed.
+    B(tau) = int_0^tau v, the equal-area rule is F = (gamma+1)/4 v^2 J - B = 0.
+    Its smallest root tau_-(x) is bracketed by 4 ulps plus 1e-12 around its
+    closed form for a half-sine or ramp pulse, where F(lo) > 0 >= F(hi) holds;
+    else (table and custom pulses, nearly double roots near formation) by
+    the first cell of a tau scan where the running maximum of R(tau) :=
+    4 B/((gamma+1) v^2) reaches J(x), as F <= 0 exactly when J <= R.  All
+    brackets, with F at their ends, are narrowed together by Illinois false
+    position (Dowell & Jarratt 1971).  Each step lands at least four ulps
+    inside its bracket, so a one-sided approach crosses the root; it is the
+    midpoint where F(lo) = 0, where it is not finite, where the bracket
+    spans at most two margins, and after 40 passes.  Every bracket closes to
+    adjacent doubles: F(tau_-) <= 0 < F at the double below, and drops out
+    of later passes.  The scan is uniform with spacing tau0/399 and holds
+    the pulse knots, where a table pulse puts its sharp features; a peak of
+    R narrower than the spacing and away from every knot can still be missed.
     """
     return fit_shock_geometries(pulse, gas, {geom: x_grid})[geom]
 
@@ -314,10 +328,10 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
 def fit_shock_geometries(pulse, gas, grids):
     """fit_shock for each geometry of ``grids``, a {Geometry: x_grid} dict.
 
-    Geometry enters the root search only through J(x), so one tau scan and
-    one Illinois iteration serve every geometry.  Each fit is fit_shock's to
-    the last bit, unless the pulse integral comes from panel quadrature (BLAS
-    rounds its sums by array position).  Raises what fit_shock raises for
+    Geometry enters the root search only through J(x), so one bracketing
+    and one Illinois iteration serve every geometry.  Each fit is fit_shock's
+    to the last bit, unless the pulse integral comes from panel quadrature
+    (BLAS rounds its sums by array position).  Raises what fit_shock raises for
     the first geometry it refuses.
     """
     checked = []
@@ -359,11 +373,8 @@ def fit_shock_geometries(pulse, gas, grids):
     return out
 
 
-# For a strong pulse v^2 and F may overflow to +inf, which keeps F's sign; a
-# false-position step that is then not finite is replaced by the midpoint.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _equal_area_roots(pulse, c, x, J):
-    """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
+def _scan_brackets(pulse, c, x, J):
+    """Brackets (lo, hi, F(lo), F(hi)) of the smallest roots from a tau scan."""
     scan = np.union1d(np.linspace(0.0, pulse.tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
     B = pulse.v_integral(scan[1:])
@@ -371,9 +382,29 @@ def _equal_area_roots(pulse, c, x, J):
     cell = np.searchsorted(np.maximum.accumulate(R), J)
     if np.any(cell == R.size):
         raise FittingError(f"no root in (0, {pulse.tau0}] at x = {x[np.argmax(cell == R.size)]}")
-    lo, hi = scan[cell], scan[cell + 1]  # F > 0 just above lo, F(hi) <= 0
     f_lo = np.where(cell > 0, cv2[cell - 1] * J - B[cell - 1], 0.0)
-    f_hi = cv2[cell] * J - B[cell]
+    return scan[cell], scan[cell + 1], f_lo, cv2[cell] * J - B[cell]  # F > 0 just above lo
+
+
+# For a strong pulse v^2 and F may overflow to +inf, which keeps F's sign; a
+# false-position step that is then not finite is replaced by the midpoint, and
+# a closed-form root that is not finite fails its bracket check.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _equal_area_roots(pulse, c, x, J):
+    """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
+
+    def F(t, J):  # t lies in [0, tau0], so the unchecked integral stands in for v_integral
+        return c * pulse.v(t) ** 2 * J - (pulse._integral(t) - pulse._b0)
+
+    lo, hi, f_lo, f_hi = np.full((4, J.size), np.nan)
+    if pulse._root is not None:  # 4 ulps plus 1e-12 either side of the closed form
+        tau = pulse._root(c * J)
+        d = 4.0 * np.spacing(tau) + 1e-12 * tau
+        lo, hi = np.clip(tau - d, 0.0, pulse.tau0), np.clip(tau + d, 0.0, pulse.tau0)
+        f_lo, f_hi = np.split(F(np.concatenate((lo, hi)), np.concatenate((J, J))), 2)
+    scan = ~((f_lo > 0.0) & (f_hi <= 0.0))  # brackets to take from the tau scan
+    if scan.any():
+        lo[scan], hi[scan], f_lo[scan], f_hi[scan] = _scan_brackets(pulse, c, x[scan], J[scan])
     taus = np.empty_like(J)
     live, Jl = np.arange(J.size), J  # brackets still open, and their J
     above = below = np.zeros(J.size, dtype=bool)  # which end moved last pass
@@ -391,8 +422,7 @@ def _equal_area_roots(pulse, c, x, J):
         t = np.minimum(np.maximum(lo - f_lo * width / (f_hi - f_lo), lo + step), hi - step)
         bisect = (f_lo == 0.0) | ~np.isfinite(t) | (width <= 2.0 * step) | (n >= 40)
         t = np.where(bisect, mid, t)
-        # t lies in [0, tau0], so the unchecked integral stands in for v_integral.
-        f = c * pulse.v(t) ** 2 * Jl - (pulse._integral(t) - pulse._b0)
+        f = F(t, Jl)
         up = f > 0.0
         f_hi = np.where(above & up, 0.5 * f_hi, f_hi)  # Illinois: same end twice
         f_lo = np.where(below & ~up, 0.5 * f_lo, f_lo)

@@ -10,6 +10,7 @@ Oracles used here, all recomputed from scratch:
   - the carried state: exact isentropy and a conserved rearward invariant.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -34,6 +35,7 @@ from shockdecay import (
     wavelet_time,
     wngo_decay,
 )
+from shockdecay import wavefront
 from shockdecay.core import MAX_X_END, far_field_gradient
 from shockdecay.transport import asymptotic_law
 from shockdecay.wavefront import (
@@ -247,7 +249,7 @@ def test_fit_shock_far_range_is_exact_and_cheap():
     calls = _counted_pulse_calls(pulse)
     x = np.geomspace(1e10, 1e12, 120)
     fitted = fit_shock(pulse, GAS, PLANAR, x)
-    assert calls[0] < FIT_CALL_BUDGET
+    assert calls[0] <= ANALYTIC_FIT_CALL_BUDGET
     np.testing.assert_allclose(
         fitted.tau_minus, _half_sine_root(x, 0.05, 1.0, GAS, PLANAR), rtol=1e-12
     )
@@ -330,6 +332,10 @@ def test_table_pulse_fit_is_exact_pchip_root(geom):
 # integral inside it), two a pass of the root finder (v and the integral),
 # one for the fitted state.  Bisection to adjacent doubles takes ~100.
 FIT_CALL_BUDGET = 64
+# A half-sine or ramp pulse brackets its closed-form root instead of scanning:
+# two calls to check the brackets, then four to seven passes on planar grids
+# from 1.1 x_form to 1e12 (11-17 calls in all; the scan took 44).
+ANALYTIC_FIT_CALL_BUDGET = 20
 
 
 def _counted_pulse_calls(pulse):
@@ -348,11 +354,11 @@ def _counted_pulse_calls(pulse):
     return calls
 
 
-def _pulse(kind):
+def _pulse(kind, v0=0.05, tau0=1.0):
     if kind == "half-sine":
-        return BoundaryPulse.half_sine(0.05, 1.0)
+        return BoundaryPulse.half_sine(v0, tau0)
     if kind == "ramp":
-        return BoundaryPulse.linear_ramp(0.05, 1.0)
+        return BoundaryPulse.linear_ramp(v0, tau0)
     if kind == "table":
         return BoundaryPulse.from_table(*_table_pulse())
     # No integral: each lookup adds one Gauss-Legendre partial panel.
@@ -367,6 +373,8 @@ def test_fit_shock_cost_is_independent_of_grid_size(kind, n):
     x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e12, n)
     fit_shock(pulse, GAS, PLANAR, x)
     assert calls[0] < FIT_CALL_BUDGET
+    if kind in ("half-sine", "ramp"):
+        assert calls[0] <= ANALYTIC_FIT_CALL_BUDGET
 
 
 @pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
@@ -384,6 +392,80 @@ def test_fit_shock_closes_brackets_to_adjacent_doubles(kind, geom):
     assert calls[0] < 2 * 55 + 4
     assert np.all(area_rule_residual(pulse, GAS, geom, x, tau) <= 0.0)
     assert np.all(area_rule_residual(pulse, GAS, geom, x, np.nextafter(tau, 0.0)) > 0.0)
+
+
+def _recorded_scans(monkeypatch):
+    """The J arrays that fits hand to the tau scan, recorded per call."""
+    scans, scan_brackets = [], wavefront._scan_brackets
+
+    def recorded(pulse, c, x, J):
+        scans.append(J)
+        return scan_brackets(pulse, c, x, J)
+
+    monkeypatch.setattr(wavefront, "_scan_brackets", recorded)
+    return scans
+
+
+def _closed_form_oracle(shape, v0, tau0, cJ):
+    """brentq root of F divided by its positive factor, one sign change on [0, tau0].
+
+    The half-sine F is (1 - cos w tau) v0 (c v0 J (1 + cos w tau) - 1/w), with
+    1 + cos w tau taken as 2 cos^2(w tau/2), free of cancellation near tau0;
+    the ramp F is m tau^2 (c m J (1 - s)^2 - 1/2 + s/3), s = tau/tau0, m = v0.
+    """
+    w = math.pi / tau0
+    if shape == "half-sine":
+        def G(t):
+            return 2.0 * cJ * v0 * math.cos(0.5 * w * t) ** 2 - 1.0 / w
+    else:
+        def G(t):
+            return cJ * v0 * (1.0 - t / tau0) ** 2 - 0.5 + t / (3.0 * tau0)
+    return brentq(G, 0.0, tau0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("tau0", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("shape", ["half-sine", "ramp"])
+def test_analytic_pulse_fit_is_the_closed_form_root(shape, tau0, monkeypatch):
+    # Seeded gamma in (1, 3] and amplitudes in every geometry (v0 >= 0.03
+    # keeps the spherical formation distance in range): tau_- is the brentq
+    # root, every bracket closes to adjacent doubles, and from 1.1 x_form on
+    # no bracket comes from the tau scan.
+    scans = _recorded_scans(monkeypatch)
+    rng = np.random.default_rng(int(40 * tau0) + len(shape))
+    for geom in (PLANAR, CYL, SPH):
+        for _ in range(3):
+            gas = GasParams(3.0 - 2.0 * rng.random())
+            v0 = rng.uniform(0.03, 0.2)
+            pulse = _pulse(shape, v0, tau0)
+            x_form = formation_distance(pulse, gas, geom)
+            x = np.geomspace(1.1 * x_form, max(1e12, 1e3 * x_form), 50)
+            tau = fit_shock(pulse, gas, geom, x).tau_minus
+            cJ = 0.25 * (gas.gamma + 1.0) * ray_integral(x, geom)
+            ref = [_closed_form_oracle(shape, v0, tau0, cJi) for cJi in cJ]
+            np.testing.assert_allclose(tau, ref, rtol=1e-12)
+            assert np.all(area_rule_residual(pulse, gas, geom, x, tau) <= 0.0)
+            assert np.all(area_rule_residual(pulse, gas, geom, x, np.nextafter(tau, 0.0)) > 0.0)
+    assert scans == []
+
+
+@pytest.mark.parametrize("shape", ["half-sine", "ramp"])
+def test_near_formation_brackets_fall_back_to_the_scan(shape, monkeypatch):
+    # At 1.0001 x_form the root is nearly double and F rounds coarsely around
+    # it, so some closed-form brackets fail their sign check; those entries
+    # take the scan's bracket and still close to adjacent doubles.
+    scans = _recorded_scans(monkeypatch)
+    scanned = 0
+    for geom in (PLANAR, CYL, SPH):
+        pulse = _pulse(shape)
+        x = np.geomspace(1.0001 * formation_distance(pulse, GAS, geom), 1e12, 200)
+        tau = fit_shock(pulse, GAS, geom, x).tau_minus
+        fell_back = np.isin(ray_integral(x, geom), np.concatenate(scans or [[]]))
+        scans.clear()
+        scanned += np.count_nonzero(fell_back)
+        residual = area_rule_residual(pulse, GAS, geom, x, tau)
+        below = area_rule_residual(pulse, GAS, geom, x, np.nextafter(tau, 0.0))
+        assert np.all(residual[fell_back] <= 0.0) and np.all(below[fell_back] > 0.0)
+    assert 0 < scanned < 3 * 200
 
 
 def test_quadrature_fallback_pulse_fits_like_exact_integral():
@@ -538,20 +620,22 @@ def test_fit_shock_gradient_masking():
 
 
 def test_fit_shock_geometries_match_single_fits():
-    # One tau scan and one Illinois iteration for all geometries: every fit
-    # is fit_shock's bit for bit, and a grid fit_shock refuses is refused.
+    # One bracketing and one Illinois iteration for all geometries: every fit
+    # is fit_shock's bit for bit, from the scan (table) or from closed-form
+    # brackets checked elementwise, and a grid fit_shock refuses is refused.
     taus = np.linspace(0.0, 1.0, 30)
     pulse = BoundaryPulse.from_table(taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.3 * taus))
-    grids = {
-        geom: np.geomspace(1.5 * formation_distance(pulse, GAS, geom), 1e10, n)
-        for geom, n in ((SPH, 57), (PLANAR, 120), (CYL, 3))
-    }
-    batch = fit_shock_geometries(pulse, GAS, grids)
-    assert list(batch) == [SPH, PLANAR, CYL]
-    for geom, grid in grids.items():
-        single = fit_shock(pulse, GAS, geom, grid)
-        for field in ("x", "tau_minus", "u_jump", "ux_jump", "shock_time", "x_formation"):
-            np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
+    for each in (pulse, _pulse("half-sine"), _pulse("ramp")):
+        grids = {
+            geom: np.geomspace(1.5 * formation_distance(each, GAS, geom), 1e10, n)
+            for geom, n in ((SPH, 57), (PLANAR, 120), (CYL, 3))
+        }
+        batch = fit_shock_geometries(each, GAS, grids)
+        assert list(batch) == [SPH, PLANAR, CYL]
+        for geom, grid in grids.items():
+            single = fit_shock(each, GAS, geom, grid)
+            for field in ("x", "tau_minus", "u_jump", "ux_jump", "shock_time", "x_formation"):
+                np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
     with pytest.raises(DomainError, match="strictly increasing"):
         fit_shock_geometries(pulse, GAS, {**grids, PLANAR: grids[PLANAR][::-1]})
     assert fit_shock_geometries(pulse, GAS, {}) == {}
