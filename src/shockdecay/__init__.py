@@ -1,10 +1,13 @@
 """Decay of weak planar, cylindrical and spherical gasdynamic shocks.
 
 Four approximation routes to the same decay laws — singular-surface
-transport of ([p], [p_x]), weakly nonlinear wavefront fitting, simple
-waves via Riemann invariants / relatively undistorted waves, and
-characteristic-rule (CCW-type) shock dynamics — plus a CLI that
-cross-validates them.
+transport of ([p], [p_x]), nonlinear geometrical optics (wavefront fitting
+by the equal-area rule), simple waves via Riemann invariants, and
+relatively undistorted waves (RUW) — plus a CLI that cross-validates them.
+
+Characteristic-rule (CCW-type) shock dynamics rides along as an oracle, not
+a fifth route: it is a strength-only reduction of transport, and its
+generalized rule is the transport pair's first equation with [p_x] = 0.
 """
 
 from .ccw import CcwHistory, CcwVariant, g_classic, g_generalized, integrate_ccw

@@ -18,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GL_NODES,
-    GL_WEIGHTS,
-    GasParams,
-    Geometry,
-    as_scalar,
-    gauss_legendre,
-    jumps_from_mach,
-    mu_nu,
-    write_csv,
-)
+from .core import GasParams, Geometry, as_scalar, gauss_legendre, jumps_from_mach, mu_nu, write_csv
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
@@ -106,9 +96,9 @@ def integrate_ccw_geometries(
     """integrate_ccw for each geometry of ``geoms``: {Geometry: CcwHistory}.
 
     Phi depends on U0, gas and variant only: one table and one Newton
-    iteration serve all curved fronts (a planar one keeps U = U0).  Each
-    geometry steps until all its samples pass and sums its quadratures apart
-    (BLAS rounds a row by its place), so each history is integrate_ccw's.
+    iteration over the samples of every curved front (a planar one keeps
+    U = U0).  Each sample stops on its own step test and no sum depends on
+    its neighbours, so each history is integrate_ccw's.
     """
     if not 1.0 + WEAK_LIMIT_FLOOR < U0 < math.inf:
         raise DomainError(
@@ -121,33 +111,24 @@ def integrate_ccw_geometries(
     f, edges, phi = _phi_table(U0, gas, variant)
     xs = np.geomspace(1.0, x_end, n_samples)
     log_x = np.log(xs)
-    target = [t[t <= phi[-1]] for t in (geom.j * log_x for geom in geoms)]
-    panel = [np.minimum(np.searchsorted(phi, t, side="right") - 1, edges.size - 2) for t in target]
-    s = [np.interp(t, phi, edges) for t in target]
-    live = [i for i, geom in enumerate(geoms) if geom.j]  # a planar front keeps U = U0
+    targets = [t[t <= phi[-1]] for t in (geom.j * log_x for geom in geoms)]
+    target = np.concatenate(targets)
+    panel = np.minimum(np.searchsorted(phi, target, side="right") - 1, edges.size - 2)
+    s = np.interp(target, phi, edges)
+    live = np.flatnonzero(target)  # a zero target (x = 1, a planar front) keeps U = U0
     for _ in range(_NEWTON_CAP):
-        if not live:
+        if not live.size:
             break
-        a = np.concatenate([s[i] for i in live])
-        b = np.concatenate([edges[panel[i]] for i in live])
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * GL_NODES
-        f_a = f(np.concatenate((a, nodes.ravel())))  # f at a, then at the nodes, in one call
-        f_nodes, end = f_a[a.size:].reshape(nodes.shape), 0
-        for i in list(live):
-            rows = slice(end, end + s[i].size)
-            end = rows.stop
-            quad = half[rows] * (f_nodes[rows] @ GL_WEIGHTS)
-            step = (phi[panel[i]] + quad - target[i]) / f_a[rows]
-            s[i] = s[i] + step
-            # Phi(s) carries rounding of order eps * target, and s its own.
-            if np.all(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s[i]) + target[i])):
-                live.remove(i)
-    if live:
+        a, t, k = s[live], target[live], panel[live]
+        step = (phi[k] + gauss_legendre(f, a, edges[k]) - t) / f(a)
+        s[live] = a + step
+        # Phi(s) carries rounding of order eps * target, and s its own.
+        live = live[~(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s[live]) + t))]
+    if live.size:
         raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
-    out = {}
-    for geom, t, s_geom in zip(geoms, target, s):
-        U = np.where(t == 0.0, U0, 1.0 + np.exp(s_geom))  # x = 1, or any x on a planar front
+    out, pieces = {}, np.split(s, np.cumsum([t.size for t in targets])[:-1])
+    for geom, t, s_geom in zip(geoms, targets, pieces):
+        U = np.where(t == 0.0, U0, 1.0 + np.exp(s_geom))
         p = jumps_from_mach(U, gas).p_jump
         out[geom] = CcwHistory(x=xs[: U.size], U=U, p_jump=np.asarray(p), variant=variant)
     return out

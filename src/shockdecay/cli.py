@@ -23,7 +23,7 @@ import numpy as np
 
 from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw, integrate_ccw_geometries
 from .core import GasParams, Geometry, mach_from_p_jump, write_csv
-from .errors import ConfigError, DomainError, ShockError, SolverError
+from .errors import ConfigError, DomainError, ShockError
 from .transport import (
     MAX_X_END,
     REFERENCE_CASES,
@@ -31,8 +31,10 @@ from .transport import (
     AsymptoteConvention,
     Scenario,
     asymptotic_law,
+    closed_form,
     decay_slope,
     integrate_truncated,
+    leading_order_reference,
 )
 from .wavefront import (
     BoundaryPulse,
@@ -44,6 +46,9 @@ from .wavefront import (
 )
 
 
+# Largest accepted --samples: a grid and its columns must fit in memory.
+MAX_SAMPLES = 1_000_000
+
 # The config keys read, by section, and the flag dest each one backs.
 _CONFIG_KEYS = {
     "run": {key: key for key in ("gamma", "geometry", "h", "k", "x_end", "samples", "out")},
@@ -51,7 +56,7 @@ _CONFIG_KEYS = {
 }
 
 
-def _config_defaults(path, dests):
+def _config_values(path, dests):
     """The config file's values for the flags in ``dests``, as raw strings."""
     config = configparser.ConfigParser(interpolation=None)
     try:
@@ -113,14 +118,10 @@ def cmd_table1(args):
     gas = GasParams(args.gamma)
     rows = []
     for case in REFERENCE_CASES:
-        scen = Scenario(gas=gas, geom=Geometry(0), h=case.h, k=case.k, x_end=100.0)
-        hist = integrate_truncated(scen, n_samples=args.samples)
-        idx = np.searchsorted(hist.x, REFERENCE_X)
-        if not np.array_equal(hist.x[idx], REFERENCE_X):
-            raise SolverError("the history does not sample every reference abscissa")
-        for i, x in enumerate(REFERENCE_X):
-            p_c, px_c = hist.p_err[idx[i]], hist.px_err[idx[i]]
-            p_r, px_r = case.p_err[i], case.px_err[i]
+        p, px = closed_form(REFERENCE_X, case.h, case.k, gas)
+        p_ref, px_ref = leading_order_reference(REFERENCE_X, case.h, case.k, gas)
+        p_err, px_err = np.abs(p - p_ref), np.abs(px - px_ref)
+        for x, p_c, p_r, px_c, px_r in zip(REFERENCE_X, p_err, case.p_err, px_err, case.px_err):
             rows.append(
                 (
                     case.h,
@@ -163,7 +164,6 @@ def _make_pulse(shape, v0, tau0, pulse_file):
         if not pulse_file:
             raise ConfigError("table pulse needs --pulse-file")
         return BoundaryPulse.from_csv(pulse_file)
-    raise ConfigError(f"unknown pulse shape {shape!r}")  # a config value skips `choices`
 
 
 def cmd_fit_shock(args):
@@ -436,7 +436,9 @@ def _parser():
     p = command("asymptote", cmd_asymptote, "evaluate the closed decay laws", **run)
     p.add_argument("--x-start", type=float, default=2.0)
 
-    command("table1", cmd_table1, "reference-error regression table", samples=200, out=None)
+    p = command("table1", cmd_table1, "reference-error regression table", out=None)
+    # Accepted and ignored: the table reads the closed form at fixed abscissae.
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS, help="no effect")
 
     # The default range is long because the spherical asymptote switches on
     # only logarithmically: the fitted exponents approach their limits like
@@ -465,32 +467,25 @@ def _parser():
 
 
 def main(argv=None):
-    """Run one command and return its exit code.
-
-    Every call shares one parser, built on the first, and a --config file
-    applies to its own call only.  Not safe to call from two threads at once.
-    """
-    parser, commands = _parser()
+    """Run one command and return its exit code; every call shares one parser."""
+    parser = _parser()[0]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(file=sys.stderr)
             return 2
         if args.config:
-            # Config values become the subcommand's defaults for one re-parse,
-            # so flags still win and argparse casts them with each flag's type.
-            command = commands[args.command]
-            values = _config_defaults(args.config, vars(args))
-            prior = {dest: command.get_default(dest) for dest in values}
-            command.set_defaults(**values)
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                command.set_defaults(**prior)
+            # Config values enter as --flag=value words right after the command
+            # word, so later flags win and argparse checks them like any flag.
+            values = _config_values(args.config, vars(args))
+            words = [f"--{dest.replace('_', '-')}={value}" for dest, value in values.items()]
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + words + argv[at:])
         if "x_end" in vars(args) and not 1.0 < args.x_end <= MAX_X_END:
             raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {args.x_end}")
-        if "samples" in vars(args) and args.samples < 2:
-            raise ConfigError("--samples must be at least 2")
+        if "samples" in vars(args) and not 2 <= args.samples <= MAX_SAMPLES:
+            raise ConfigError(f"--samples must lie in [2, {MAX_SAMPLES}], got {args.samples}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

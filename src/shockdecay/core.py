@@ -79,9 +79,15 @@ def as_scalar(*values):
 
 
 def gauss_legendre(f, a, b):
-    """8-point Gauss-Legendre value of int_a^b f, elementwise over numpy a, b."""
+    """8-point Gauss-Legendre value of int_a^b f, elementwise over numpy a, b.
+
+    Each row's weighted sum is taken on its own (einsum; a BLAS product
+    rounds a row by its place in the array), so no value depends on the
+    other rows.
+    """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * (f(mid[..., None] + half[..., None] * GL_NODES) @ GL_WEIGHTS)
+    values = f(mid[..., None] + half[..., None] * GL_NODES)
+    return half * np.einsum("...j,j->...", values, GL_WEIGHTS)
 
 
 def write_csv(dest, header, columns):

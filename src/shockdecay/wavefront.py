@@ -330,9 +330,8 @@ def fit_shock_geometries(pulse, gas, grids):
 
     Geometry enters the root search only through J(x), so one bracketing
     and one Illinois iteration serve every geometry.  Each fit is fit_shock's
-    to the last bit, unless the pulse integral comes from panel quadrature
-    (BLAS rounds its sums by array position).  Raises what fit_shock raises for
-    the first geometry it refuses.
+    to the last bit.  Raises what fit_shock raises for the first geometry it
+    refuses.
     """
     checked = []
     for geom, x_grid in grids.items():

@@ -6,6 +6,7 @@ geometric part of the strength transport equation, i.e.
 by independent code paths.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -206,10 +207,11 @@ def test_newton_cap_is_a_solver_error(monkeypatch):
 @pytest.mark.parametrize("U0, gamma", [(1.0001, 1.4), (1.02, 1.1), (1.5, 5.0 / 3.0), (10.0, 3.0)])
 def test_geometries_in_one_call_match_single_calls(U0, gamma):
     # One Phi table and one Newton iteration for all geometries give each
-    # geometry's integrate_ccw history bit for bit, also where the spherical
-    # run stops at the weak-limit floor and the cylindrical one does not.
-    gas, geoms = GasParams(gamma), [Geometry(2), Geometry(0), Geometry(1)]
-    for variant in CcwVariant:
+    # geometry's integrate_ccw history bit for bit, in either order, also where
+    # the spherical run stops at the weak-limit floor and the cylindrical one
+    # does not.
+    gas, order = GasParams(gamma), [Geometry(2), Geometry(0), Geometry(1)]
+    for variant, geoms in itertools.product(CcwVariant, (order, order[::-1])):
         batch = integrate_ccw_geometries(U0, gas, geoms, 1e12, variant, 237)
         assert list(batch) == geoms
         for geom in geoms:

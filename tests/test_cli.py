@@ -7,7 +7,9 @@ numerical failure, 4 partial comparison report.
 
 import argparse
 import json
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,14 +311,6 @@ def test_table1_reports_both_sets(tmp_path, capsys):
     assert set(data["k"]) == {10.0, 0.28}
 
 
-def test_table1_unsampled_abscissa_is_numerical_failure(monkeypatch, capsys):
-    # The table reads the history at the reference abscissae; a history that
-    # misses one is a numerical failure (exit 3), also under python -O.
-    monkeypatch.setattr(cli, "REFERENCE_X", cli.REFERENCE_X - 1e-3)
-    assert main(["table1"]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_fit_shock_csv(tmp_path):
     out = tmp_path / "fit.csv"
     code = main(
@@ -582,9 +576,38 @@ def test_config_file_pulse_section(tmp_path):
     config.write_text("[pulse]\nshape = half-sine\nv0 = 0.08\ntau0 = 2.0\n")
     out = tmp_path / "fit.csv"
     assert main(["fit-shock", "--config", str(config), "--out", str(out)]) == 0
-    # A config value skips the flag's choices, so the command checks the shape.
+    # A config value meets the flag's choices like a flag value.
     config.write_text("[pulse]\nshape = triangle\n")
     assert main(["fit-shock", "--config", str(config)]) == 2
+
+
+def test_main_without_argv_reads_sys_argv_with_a_config(tmp_path, monkeypatch, capsys):
+    # The config words go in after the command word of sys.argv[1:] too.
+    config, out = tmp_path / "run.ini", tmp_path / "run.csv"
+    config.write_text("[run]\nh = 0.2\nk = 5\ngeometry = cylindrical\n")
+    argv = ["evolve", "--config", str(config), "--k", "3", "--out", str(out)]
+    assert main(argv) == 0
+    expected = capsys.readouterr(), out.read_bytes()
+    out.unlink()
+    monkeypatch.setattr(sys, "argv", ["shockdecay", *argv])
+    assert main() == 0
+    assert (capsys.readouterr(), out.read_bytes()) == expected
+    assert expected[0].out.startswith("evolve: cylindrical, gamma=1.4, h=0.2, k=3.0,")
+
+
+@pytest.mark.parametrize("command", ["evolve", "asymptote", "table1", "fit-shock", "ccw"])
+def test_huge_sample_count_is_refused_before_any_grid(command, capsys):
+    # 1e12 samples would ask numpy for 8 TB a column: exit 2, nothing allocated.
+    tracemalloc.start()
+    try:
+        for samples in (cli.MAX_SAMPLES + 1, 10**12):
+            assert main([command, "--samples", str(samples)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --samples must lie in [2, {cli.MAX_SAMPLES}], got {samples}\n"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_config_file_errors(tmp_path):

@@ -10,6 +10,7 @@ Oracles used here, all recomputed from scratch:
   - the carried state: exact isentropy and a conserved rearward invariant.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -621,14 +622,19 @@ def test_fit_shock_gradient_masking():
 
 def test_fit_shock_geometries_match_single_fits():
     # One bracketing and one Illinois iteration for all geometries: every fit
-    # is fit_shock's bit for bit, from the scan (table) or from closed-form
-    # brackets checked elementwise, and a grid fit_shock refuses is refused.
+    # is fit_shock's bit for bit, from the scan (table, custom) or from
+    # closed-form brackets checked elementwise, also where the pulse integral
+    # comes from panel quadrature, and a grid fit_shock refuses is refused.
     taus = np.linspace(0.0, 1.0, 30)
     pulse = BoundaryPulse.from_table(taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.3 * taus))
-    for each in (pulse, _pulse("half-sine"), _pulse("ramp")):
+    custom = BoundaryPulse(lambda t: 0.05 * np.sin(np.pi * t) * (1.0 + 0.3 * t), 1.0)
+    starts_and_sizes = ((1.5, (57, 120, 3)), (1.1, (240, 240, 240)), (10.0, (200, 200, 200)))
+    for each, (start, sizes) in itertools.product(
+        (pulse, custom, _pulse("half-sine"), _pulse("ramp")), starts_and_sizes
+    ):
         grids = {
-            geom: np.geomspace(1.5 * formation_distance(each, GAS, geom), 1e10, n)
-            for geom, n in ((SPH, 57), (PLANAR, 120), (CYL, 3))
+            geom: np.geomspace(start * formation_distance(each, GAS, geom), 1e10, n)
+            for geom, n in zip((SPH, PLANAR, CYL), sizes)
         }
         batch = fit_shock_geometries(each, GAS, grids)
         assert list(batch) == [SPH, PLANAR, CYL]
