@@ -22,10 +22,9 @@ import sys
 import numpy as np
 
 from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw, integrate_ccw_geometries
-from .core import GasParams, Geometry, mach_from_p_jump, write_csv
+from .core import GasParams, Geometry, check_x_end, mach_from_p_jump, write_csv
 from .errors import ConfigError, DomainError, ShockError
 from .transport import (
-    MAX_X_END,
     REFERENCE_CASES,
     REFERENCE_X,
     AsymptoteConvention,
@@ -170,20 +169,13 @@ def cmd_fit_shock(args):
     gas = GasParams(args.gamma)
     geom = Geometry.from_name(args.geometry)
     pulse = _make_pulse(args.pulse, args.v0, args.tau0, args.pulse_file)
-    x_start = args.x_start
-    if x_start is not None:
-        if not 1.0 < x_start < args.x_end:
-            raise ConfigError("need 1 < x_start < x_end")
-    else:
-        # The grid defaults to [1.1 * formation distance, x_end]; fit_shock
-        # itself raises a fitting error for grids that reach below formation.
-        x_form = formation_distance(pulse, gas, geom)
-        x_start = 1.1 * x_form
-        if x_start >= args.x_end:
-            raise ConfigError(
-                f"x_end = {args.x_end} is below the shock formation range "
-                f"(forms at x = {x_form:.6g})"
-            )
+    x_form = formation_distance(pulse, gas, geom)
+    x_start = 1.1 * x_form if args.x_start is None else args.x_start
+    if not x_form < x_start < args.x_end:
+        raise ConfigError(
+            f"the grid start {x_start:.6g} must lie above the formation distance "
+            f"{x_form:.6g} and below x_end = {args.x_end:g}"
+        )
     fitted = fit_shock(pulse, gas, geom, np.geomspace(x_start, args.x_end, args.samples))
     reference = wngo_decay(pulse.b, gas, geom, fitted.x)
     if args.out:
@@ -481,9 +473,14 @@ def main(argv=None):
             values = _config_values(args.config, vars(args))
             words = [f"--{dest.replace('_', '-')}={value}" for dest, value in values.items()]
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + words + argv[at:])
-        if "x_end" in vars(args) and not 1.0 < args.x_end <= MAX_X_END:
-            raise ConfigError(f"x_end must lie in (1, {MAX_X_END:g}], got {args.x_end}")
+            try:
+                args = parser.parse_args(argv[:at] + words + argv[at:])
+            except SystemExit:  # the first parse passed, so a config value failed
+                print(f"error: the value above comes from config file {args.config}",
+                      file=sys.stderr)
+                raise
+        if "x_end" in vars(args):
+            check_x_end(args.x_end)
         if "samples" in vars(args) and not 2 <= args.samples <= MAX_SAMPLES:
             raise ConfigError(f"--samples must lie in [2, {MAX_SAMPLES}], got {args.samples}")
         return args.func(args)

@@ -6,7 +6,8 @@ at position x >= 1 moving into that gas with Mach number U >= 1 carries
 jumps [q] = q_behind - q_ahead of the flow variables.  Geometry enters
 only through the index j (0 plane, 1 cylinder, 2 sphere) via the area
 factor psi(x) = x**(-j/2) and the accumulated ray integral
-J(x) = integral_1^x psi(s) ds evaluated in closed form below.
+J(x) = integral_1^x psi(s) ds evaluated in closed form below.  An input
+that is NaN, infinite or outside its range raises DomainError.
 """
 
 import os
@@ -21,6 +22,12 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # Largest accepted x_end (inclusive): the transport and CCW routes are
 # checked against their oracles up to this range, and not beyond it.
 MAX_X_END = 1e18
+
+
+def check_x_end(x_end):
+    """Raise DomainError unless 1 < x_end <= MAX_X_END."""
+    if not 1.0 < x_end <= MAX_X_END:
+        raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}], got {x_end}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +111,28 @@ def write_csv(dest, header, columns):
         dest.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _finite_from(values, lo, name):
+    """values as a float array; DomainError unless each is finite and >= lo."""
+    values = np.asarray(values, dtype=float)
+    # A NaN fails min() >= lo; two reductions cost less than np.all of a comparison.
+    if values.size and not (values.min() >= lo and values.max() < np.inf):
+        raise DomainError(f"{name} must be finite and >= {lo:g}")
+    return values
+
+
+def _positions(x):
+    """Positions as a float array: finite and >= 1, the initial wavefront radius."""
+    return _finite_from(x, 1.0, "position")
+
+
+def _machs(mach):
+    """Shock Mach numbers as a float array: finite and >= 1."""
+    return _finite_from(mach, 1.0, "shock Mach number")
+
+
 def jumps_from_mach(mach, gas=GasParams()):
     """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` >= 1."""
-    mach = np.asarray(mach, dtype=float)
-    if not np.all(mach >= 1.0):
-        raise DomainError("shock Mach number must be >= 1")
+    mach = _machs(mach)
     g = gas.gamma
     u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)
     p = mach * u
@@ -117,74 +141,57 @@ def jumps_from_mach(mach, gas=GasParams()):
 
 
 def mach_from_p_jump(p_jump, gas=GasParams()):
-    """Shock Mach number carrying pressure jump ``p_jump`` >= 0."""
-    p_jump = np.asarray(p_jump, dtype=float)
-    if not np.all(p_jump >= 0.0):
-        raise DomainError("pressure jump must be >= 0 for a compressive shock")
+    """Shock Mach number carrying pressure jump ``p_jump`` >= 0 (compressive)."""
+    p_jump = _finite_from(p_jump, 0.0, "pressure jump")
     mach = np.sqrt(1.0 + 0.5 * (gas.gamma + 1.0) * p_jump)
     return as_scalar(mach)
 
 
 def mu_nu(mach, gas=GasParams()):
     """Auxiliary strength polynomials mu = 2 + (g-1)U^2, nu = 2g U^2 + 1 - g."""
-    mach = np.asarray(mach, dtype=float)
-    if not np.all(mach >= 1.0):
-        raise DomainError("shock Mach number must be >= 1")
+    mach = _machs(mach)
     g = gas.gamma
     mu = 2.0 + (g - 1.0) * mach**2
     nu = 2.0 * g * mach**2 + 1.0 - g
     return as_scalar(mu, nu)
 
 
+# Per geometry index j: the ray integral J(x) = int_1^x s**(-j/2) ds in
+# closed form, its large-x leading part, and the inverse of J.
+_RAYS = (
+    (lambda x: x - 1.0, lambda x: x * 1.0, lambda J: 1.0 + J),
+    (
+        lambda x: 2.0 * (np.sqrt(x) - 1.0),
+        lambda x: 2.0 * np.sqrt(x),
+        lambda J: (1.0 + 0.5 * J) ** 2,
+    ),
+    (np.log, np.log, np.exp),
+)
+
+
 def psi(x, geom=Geometry(0)):
     """Geometric decay factor x**(-j/2) of a weak wavelet at position x >= 1."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 1.0):
-        raise DomainError("position must be >= 1 (the initial wavefront radius)")
-    out = x ** (-0.5 * geom.j)
-    return as_scalar(out)
+    return as_scalar(_positions(x) ** (-0.5 * geom.j))
 
 
 def ray_integral(x, geom=Geometry(0)):
     """Accumulated ray integral J(x) = int_1^x s**(-j/2) ds, closed form."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 1.0):
-        raise DomainError("position must be >= 1 (the initial wavefront radius)")
-    if geom.j == 0:
-        out = x - 1.0
-    elif geom.j == 1:
-        out = 2.0 * (np.sqrt(x) - 1.0)
-    else:
-        out = np.log(x)
-    return as_scalar(out)
+    return as_scalar(_RAYS[geom.j][0](_positions(x)))
 
 
 def ray_integral_leading(x, geom=Geometry(0)):
     """Large-x leading part of ray_integral: x, 2*sqrt(x) or log(x)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 1.0):
-        raise DomainError("position must be >= 1 (the initial wavefront radius)")
-    if geom.j == 0:
-        out = x * 1.0
-    elif geom.j == 1:
-        out = 2.0 * np.sqrt(x)
-    else:
-        out = np.log(x)
-    return as_scalar(out)
+    return as_scalar(_RAYS[geom.j][1](_positions(x)))
 
 
 def ray_integral_inverse(value, geom=Geometry(0)):
-    """Position x >= 1 at which ray_integral(x) equals ``value`` >= 0."""
-    value = np.asarray(value, dtype=float)
-    if not np.all(value >= 0.0):
-        raise DomainError("ray integral is nonnegative for x >= 1")
-    if geom.j == 0:
-        out = 1.0 + value
-    elif geom.j == 1:
-        out = (1.0 + 0.5 * value) ** 2
-    else:
-        out = np.exp(value)
-    return as_scalar(out)
+    """Position x >= 1 at which ray_integral(x) equals ``value`` >= 0.
+
+    Raises DomainError where that position overflows a float.
+    """
+    value = _finite_from(value, 0.0, "ray integral")
+    with np.errstate(over="ignore"):  # an overflow fails the position check
+        return as_scalar(_positions(_RAYS[geom.j][2](value)))
 
 
 def far_field_gradient(x, gas=GasParams(), geom=Geometry(0)):

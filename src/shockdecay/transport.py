@@ -33,7 +33,9 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _positions,
     as_scalar,
+    check_x_end,
     far_field_gradient,
     mu_nu,
     psi,
@@ -81,14 +83,11 @@ def _front_state(U, gas, j, x=1.0):
     given omega itself, passes it as j with x = 1.  k12 takes the reduced
     form k11 * 2 nu omega/(gamma+1)^2.
     """
-    if not U >= 1.0:
-        raise DomainError("shock Mach number must be >= 1")
-    if not x >= 1.0:
-        raise DomainError("position must be >= 1")
+    _positions(x)
     omega = j / x
-    if not omega >= 0.0:
-        raise DomainError("curvature j/x must be >= 0")
-    mu, nu = mu_nu(U, gas)
+    if not 0.0 <= omega < math.inf:
+        raise DomainError("curvature j/x must be finite and >= 0")
+    mu, nu = mu_nu(U, gas)  # checks U
     D = U * U * (2.0 * mu + nu) + nu
     k11 = -2.0 * (U * U - 1.0) * mu / D
     return omega, mu, nu, D, k11, k11 * 2.0 * nu * omega / (gas.gamma + 1.0) ** 2
@@ -230,12 +229,10 @@ class Scenario:
     x_end: float = 100.0
 
     def __post_init__(self):
-        if not 1.0 < self.x_end <= MAX_X_END:
-            raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}]")
-        if not 0.0 <= self.h < math.inf:
-            raise DomainError("initial pressure jump h must be finite and >= 0 (compressive)")
-        if not math.isfinite(self.k):
-            raise DomainError(f"initial gradient jump k must be finite, got {self.k}")
+        check_x_end(self.x_end)
+        _finite_jumps(self.h, self.k)
+        if self.h < 0.0:
+            raise DomainError("initial pressure jump h must be >= 0 (compressive)")
         growth = 0.5 * (self.gas.gamma + 1.0) * self.k * ray_integral(self.x_end, self.geom)
         if not math.isfinite(growth):  # I(x) of the closed form would overflow
             raise DomainError(
@@ -280,9 +277,18 @@ class ShockHistory:
         return cls(*[np.asarray(c, dtype=float) for c in cols])
 
 
+def _finite_jumps(h, k):
+    """Raise DomainError unless the initial jumps h and k are finite."""
+    if not math.isfinite(h):
+        raise DomainError(f"initial pressure jump h must be finite, got {h}")
+    if not math.isfinite(k):
+        raise DomainError(f"initial gradient jump k must be finite, got {k}")
+
+
 def _closed_form(x, h, k, gas, geom, ray):
     """([p], [p_x]) of the truncated system for the ray integral ``ray``,
     or None once 1 + (gamma+1) k ray(x)/2 reaches zero."""
+    _finite_jumps(h, k)
     x = np.asarray(x, dtype=float)
     I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * ray(x, geom)
     if np.any(I <= 0.0):
@@ -320,10 +326,9 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     [p]   ~ h sqrt(2/((gamma+1)k)) * psi / sqrt(J_lead),
     [p_x] ~ 2/(gamma+1) * psi / J_lead  -- no h dependence.
     """
-    if not math.isfinite(h):
-        raise DomainError(f"initial pressure jump h must be finite, got {h}")
-    if not 0.0 < k < math.inf:
-        raise DomainError("decay asymptotes require a finite, positive gradient jump k")
+    _finite_jumps(h, k)
+    if not k > 0.0:
+        raise DomainError("decay asymptotes require a positive gradient jump k")
     x = np.asarray(x, dtype=float)
     amp = h * np.sqrt(2.0 / ((gas.gamma + 1.0) * k))
     if not math.isfinite(amp):
@@ -335,10 +340,14 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
 
 
 def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
-    """Blow-up position x* with I(x*) = 0, or None when k >= 0."""
+    """Blow-up position x* with I(x*) = 0, or None when k >= 0; DomainError past MAX_X_END."""
+    _finite_jumps(h, k)
     if k >= 0.0:
         return None
-    return ray_integral_inverse(-2.0 / ((gas.gamma + 1.0) * k), geom)
+    J_star = -2.0 / ((gas.gamma + 1.0) * k)
+    if not J_star <= ray_integral(MAX_X_END, geom):
+        raise DomainError(f"the gradient jump blows up beyond x = {MAX_X_END:g}")
+    return ray_integral_inverse(J_star, geom)
 
 
 # Abscissae and reference absolute errors for the two standard parameter
@@ -429,8 +438,11 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
 
 
 def decay_slope(x, y):
-    """Least-squares slope of log y against log x (y must be positive)."""
-    x = np.asarray(x, dtype=float)
+    """Least-squares slope of log y against log x at positions x >= 1.
+
+    Samples where y is not positive and finite are skipped.
+    """
+    x = _positions(x)
     y = np.asarray(y, dtype=float)
     keep = (y > 0.0) & np.isfinite(y)
     if keep.sum() < 2:

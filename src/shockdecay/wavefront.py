@@ -208,6 +208,8 @@ class BoundaryPulse:
         values = np.asarray(values, dtype=float)
         if taus.ndim != 1 or taus.size < 3 or taus.shape != values.shape:
             raise DomainError("pulse table needs >= 3 matching (tau, v) samples")
+        if not (np.isfinite(taus).all() and np.isfinite(values).all()):
+            raise DomainError("pulse table samples must be finite")
         if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
             raise DomainError("pulse table must start at tau = 0 and increase")
         scale = np.max(np.abs(values))
@@ -435,8 +437,8 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
 
     b is the (bounded) integral of the boundary pulse.
     """
-    if b <= 0.0:
-        raise DomainError("pulse integral b must be positive")
+    if not 0.0 < b < math.inf:
+        raise DomainError("pulse integral b must be finite and positive")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise DomainError("asymptotes need x > 1")
@@ -448,6 +450,8 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
 def ruw_state(u, gas=GasParams()):
     """Full state (rho, p, a) carried by the outgoing wavelet at velocity u."""
     u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise DomainError("velocity u must be finite")
     g = gas.gamma
     a = 1.0 + 0.5 * (g - 1.0) * u
     if np.any(a <= 0.0):

@@ -8,6 +8,7 @@ by independent code paths.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from shockdecay import (
 )
 from shockdecay import ccw
 from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory, integrate_ccw_geometries
+from shockdecay.core import MAX_X_END
 
 GAS = GasParams(1.4)
 COEFFICIENT = {CcwVariant.CLASSIC: g_classic, CcwVariant.GENERALIZED: g_generalized}
@@ -220,6 +222,30 @@ def test_geometries_in_one_call_match_single_calls(U0, gamma):
                 np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
 
 
+def test_newton_slices_bound_memory():
+    # Each Newton step evaluates f on eight nodes per live sample; in slices
+    # of _NEWTON_SLICE samples 300,000 of them stay below 64 MiB (144 unsliced).
+    tracemalloc.start()
+    try:
+        hist = integrate_ccw(1.5, GAS, Geometry(1), x_end=100.0, n_samples=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.U.size == 300_000
+    assert peak < 64 << 20
+
+
+def test_newton_slices_change_no_bit(monkeypatch):
+    # Each sample stops on its own step test, so slice edges (here inside
+    # every geometry's samples, with the planar zeros among them) change nothing.
+    geoms = [Geometry(2), Geometry(0), Geometry(1)]
+    whole = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    monkeypatch.setattr(ccw, "_NEWTON_SLICE", 7)
+    sliced = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    for geom in geoms:
+        np.testing.assert_array_equal(sliced[geom].U, whole[geom].U)
+
+
 def test_integrate_ccw_validation():
     with pytest.raises(DomainError):
         integrate_ccw(1.0, GAS, Geometry(1))
@@ -227,8 +253,9 @@ def test_integrate_ccw_validation():
         integrate_ccw(1.0 + 1e-12, GAS, Geometry(2))
     with pytest.raises(DomainError):  # g(U) overflows at U^2 > 1.8e308
         integrate_ccw(1e200, GAS, Geometry(2))
-    with pytest.raises(DomainError):
-        integrate_ccw(1.5, GAS, Geometry(1), x_end=0.5)
+    for x_end in (0.5, np.nextafter(MAX_X_END, np.inf), 1e300):  # (1, MAX_X_END] only
+        with pytest.raises(DomainError):
+            integrate_ccw(1.5, GAS, Geometry(1), x_end=x_end)
     with pytest.raises(DomainError):
         integrate_ccw(1.5, GAS, Geometry(1), variant="classic")
 

@@ -131,6 +131,13 @@ def test_asymptote_requires_growth_data(tmp_path):
     assert data["x"][0] >= 2.0
 
 
+def test_asymptote_x_start_is_the_first_row(tmp_path):
+    out = tmp_path / "asym.csv"
+    assert main(["asymptote", "--x-start", "5", "--out", str(out)]) == 0
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert data["x"][0] == 5.0 and data["x"][-1] == 100.0
+
+
 def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
     argv = ["asymptote", "--geometry", "spherical", "--h", "0.05", "--k", "2",
             "--x-end", "1e6", "--samples", "40"]
@@ -336,6 +343,20 @@ def test_fit_shock_far_spherical_formation_is_config_error(tmp_path, capsys):
     argv = ["fit-shock", "--geometry", "spherical", "--pulse", "table", "--pulse-file", str(table)]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: the lead shock forms beyond x = 1e+18\n"
+
+
+def test_fit_shock_grid_start_lies_above_formation(tmp_path, capsys):
+    # The default pulse forms its shock at x = 27.5258.  A grid start at or
+    # below that, typed or the default 1.1 x_form, or one at or above x_end,
+    # is bad input (exit 2) with one message naming both ends.
+    for argv in (["--x-start", "2"], ["--x-end", "20"], ["--x-start", "1e5"]):
+        assert main(["fit-shock", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid start ") and err.count("\n") == 1
+        assert "the formation distance 27.5258 and below x_end = " in err
+    out = tmp_path / "fit.csv"
+    assert main(["fit-shock", "--x-start", "30", "--out", str(out)]) == 0
+    assert np.genfromtxt(out, delimiter=",", names=True)["x"][0] == 30.0
 
 
 def test_fit_shock_zero_pulse_is_numerical_failure():
@@ -571,14 +592,19 @@ def test_config_file_merging(tmp_path):
     assert not out4.exists()
 
 
-def test_config_file_pulse_section(tmp_path):
+def test_config_file_pulse_section(tmp_path, capsys):
     config = tmp_path / "pulse.ini"
     config.write_text("[pulse]\nshape = half-sine\nv0 = 0.08\ntau0 = 2.0\n")
     out = tmp_path / "fit.csv"
     assert main(["fit-shock", "--config", str(config), "--out", str(out)]) == 0
-    # A config value meets the flag's choices like a flag value.
+    # A config value meets the flag's choices like a flag value; the error
+    # names the file, as the user may have typed no --pulse.
     config.write_text("[pulse]\nshape = triangle\n")
+    capsys.readouterr()
     assert main(["fit-shock", "--config", str(config)]) == 2
+    *_, flag_line, file_line = capsys.readouterr().err.splitlines()
+    assert "argument --pulse: invalid choice: 'triangle'" in flag_line
+    assert file_line == f"error: the value above comes from config file {config}"
 
 
 def test_main_without_argv_reads_sys_argv_with_a_config(tmp_path, monkeypatch, capsys):
@@ -610,14 +636,18 @@ def test_huge_sample_count_is_refused_before_any_grid(command, capsys):
     assert peak < 1 << 20
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     assert main(["evolve", "--config", str(tmp_path / "absent.ini")]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[run\nh = oops")
     assert main(["evolve", "--config", str(bad)]) == 2
     nonnumeric = tmp_path / "nonnumeric.ini"
     nonnumeric.write_text("[run]\nh = abc\n")
+    capsys.readouterr()
     assert main(["evolve", "--config", str(nonnumeric)]) == 2
+    *_, flag_line, file_line = capsys.readouterr().err.splitlines()
+    assert "argument --h: invalid float value: 'abc'" in flag_line
+    assert file_line == f"error: the value above comes from config file {nonnumeric}"
 
 
 @pytest.mark.parametrize("v0", ["1e50", "1e99", "1e150", "1e154", "1e155"])

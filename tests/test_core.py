@@ -166,6 +166,9 @@ def test_ray_integral_inverse_roundtrip():
         ray_integral_inverse(-1.0)
     with pytest.raises(DomainError):
         ray_integral_inverse(float("nan"))
+    for j, value in ((1, 1e160), (2, 710.0)):  # the position overflows a float
+        with pytest.raises(DomainError):
+            ray_integral_inverse(value, Geometry(j))
 
 
 def test_ray_integral_leading_offsets():

@@ -341,6 +341,12 @@ def test_breakdown_distance_inverts_ray_integral():
             assert ray_integral(xs, Geometry(j)) == pytest.approx(target, rel=1e-12)
     assert breakdown_distance(0.1, 0.0, GAS, PLANAR) is None
     assert breakdown_distance(0.1, 2.0, GAS, PLANAR) is None
+    # Past MAX_X_END, where a spherical exp(J) would overflow: refused, no warning.
+    for j, k in ((2, -1e-12), (2, -1e-320), (0, -1e-19)):
+        with pytest.raises(DomainError, match="beyond x = 1e\\+18"):
+            breakdown_distance(0.1, k, GAS, Geometry(j))
+    at_limit = -2.0 / ((GAS.gamma + 1.0) * ray_integral(MAX_X_END, SPH))
+    assert breakdown_distance(0.1, at_limit, GAS, SPH) == pytest.approx(MAX_X_END)
 
 
 def test_breakdown_known_values():
