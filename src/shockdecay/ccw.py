@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GasParams, Geometry, as_scalar, check_x_end, gauss_legendre,
-                   jumps_from_mach, mu_nu, write_csv)
+from .core import (GasParams, Geometry, _machs, _mu_nu, as_scalar, check_x_end,
+                   gauss_legendre, jumps_from_mach, write_csv)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
@@ -38,27 +38,28 @@ class CcwVariant(enum.Enum):
 
 def g_classic(U, gas=GasParams()):
     """Area-rule coefficient g(U); g(1) = 4."""
-    U = np.asarray(U, dtype=float)
-    mu, nu = mu_nu(U, gas)
-    out = (1.0 + 2.0 * np.sqrt(mu / nu) + U**-2.0) * (
+    return as_scalar(_g_classic(_machs(U), gas.gamma))
+
+
+def _g_classic(U, g):
+    mu, nu = _mu_nu(U, g)
+    return (1.0 + 2.0 * np.sqrt(mu / nu) + U**-2.0) * (
         1.0 + (U * U - 1.0) / (np.sqrt(mu) * np.sqrt(nu))  # mu*nu ~ U^4 overflows
     )
-    return as_scalar(out)
 
 
 def g_generalized(U, gas=GasParams()):
     """Transport-rule coefficient G(U) (gradient jump neglected); G(1) = 4."""
-    U = np.asarray(U, dtype=float)
-    mu, nu = mu_nu(U, gas)
-    g = gas.gamma
-    out = (g + 1.0) * (2.0 * U * U / nu + (U * U + 1.0) / mu)
-    return as_scalar(out)
+    return as_scalar(_g_generalized(_machs(U), gas.gamma))
 
 
-_COEFFICIENTS = {
-    CcwVariant.CLASSIC: g_classic,
-    CcwVariant.GENERALIZED: g_generalized,
-}
+def _g_generalized(U, g):
+    mu, nu = _mu_nu(U, g)
+    return (g + 1.0) * (2.0 * U * U / nu + (U * U + 1.0) / mu)
+
+
+# Unchecked kernels: the integrand's Mach numbers 1 + exp(s) need no check.
+_COEFFICIENTS = {CcwVariant.CLASSIC: _g_classic, CcwVariant.GENERALIZED: _g_generalized}
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,11 @@ def integrate_ccw_geometries(
 
 def _phi_table(U0, gas, variant):
     """The integrand f(s), the panel edges in s and Phi at those edges."""
-    coeff = _COEFFICIENTS[variant]
+    coeff, g = _COEFFICIENTS[variant], gas.gamma
 
     def f(s):
         U = 1.0 + np.exp(s)
-        return U * coeff(U, gas) / (U + 1.0)
+        return U * coeff(U, g) / (U + 1.0)
 
     s0, s_floor = math.log(U0 - 1.0), math.log(WEAK_LIMIT_FLOOR)
     edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)

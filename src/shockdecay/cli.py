@@ -29,6 +29,7 @@ from .transport import (
     REFERENCE_X,
     AsymptoteConvention,
     Scenario,
+    _sample_grid,
     asymptotic_law,
     closed_form,
     decay_slope,
@@ -230,18 +231,23 @@ def _attempt(pipeline, *args):
         return exc
 
 
-def _pipeline_transport(gas, geom, h, k, x_end, out_dir):
-    scen = Scenario(gas=gas, geom=geom, h=h, k=k, x_end=x_end)
-    hist = integrate_truncated(scen, n_samples=240)
-    window = hist.x >= x_end / 100.0
-    precursor = _corrected_slope(hist.x[window], hist.p_jump[window], geom)
-    acoustic_scen = Scenario(gas=gas, geom=geom, h=h, k=0.0, x_end=x_end)
-    acoustic_hist = integrate_truncated(acoustic_scen, n_samples=240)
-    acoustic = decay_slope(acoustic_hist.x[window], acoustic_hist.p_jump[window])
-    if out_dir:
-        hist.to_csv(f"{out_dir}/transport_precursor_{geom.name}.csv")
-        acoustic_hist.to_csv(f"{out_dir}/transport_acoustic_{geom.name}.csv")
-    return {"precursor_exponent": precursor, "acoustic_exponent": acoustic}
+def _pipeline_transport(gas, geometries, h, k, x_end, out_dir):
+    """Precursor (k) and acoustic (k = 0) exponents, read from the closed form
+    on one sample grid; that is integrate_truncated's [p] wherever k >= 0."""
+    x = _sample_grid(x_end, 240)
+    window = x >= x_end / 100.0
+
+    def entry(geom):
+        if out_dir:
+            for branch, kb in (("precursor", k), ("acoustic", 0.0)):
+                scen = Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=x_end)
+                hist = integrate_truncated(scen, n_samples=240)
+                hist.to_csv(f"{out_dir}/transport_{branch}_{geom.name}.csv")
+        p, p_acoustic = (closed_form(x, h, kb, gas, geom)[0][window] for kb in (k, 0.0))
+        return {"precursor_exponent": _corrected_slope(x[window], p, geom),
+                "acoustic_exponent": decay_slope(x[window], p_acoustic)}
+
+    return {geom: _attempt(entry, geom) for geom in geometries}
 
 
 def _wngo_grid(pulse, gas, geom, x_end):
@@ -340,13 +346,10 @@ def cmd_compare_methods(args):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     report = {"gamma": args.gamma, "h": h, "k": k, "x_end": x_end, "geometries": {}}
-    # Each route runs once for all geometries (transport once for each) and
-    # answers every geometry with its entry or the ShockError that failed it.
+    # Each route runs once for all geometries and answers every geometry
+    # with its entry or the ShockError that failed it.
     routes = {
-        "transport": {
-            geom: _attempt(_pipeline_transport, gas, geom, h, k, x_end, out_dir)
-            for geom in geometries
-        },
+        "transport": _attempt(_pipeline_transport, gas, geometries, h, k, x_end, out_dir),
         "wngo": _attempt(_pipeline_wngo, gas, geometries, h, x_end, out_dir),
         "simple_wave": _attempt(lambda: dict.fromkeys(geometries, _pipeline_simple_wave(gas))),
         "ccw": _attempt(_pipeline_ccw, gas, geometries, h, x_end, out_dir),

@@ -149,11 +149,12 @@ def mach_from_p_jump(p_jump, gas=GasParams()):
 
 def mu_nu(mach, gas=GasParams()):
     """Auxiliary strength polynomials mu = 2 + (g-1)U^2, nu = 2g U^2 + 1 - g."""
-    mach = _machs(mach)
-    g = gas.gamma
-    mu = 2.0 + (g - 1.0) * mach**2
-    nu = 2.0 * g * mach**2 + 1.0 - g
-    return as_scalar(mu, nu)
+    return as_scalar(*_mu_nu(_machs(mach), gas.gamma))
+
+
+def _mu_nu(mach, g):
+    """mu_nu of a checked Mach-number array at gamma = g, unchecked."""
+    return 2.0 + (g - 1.0) * mach**2, 2.0 * g * mach**2 + 1.0 - g
 
 
 # Per geometry index j: the ray integral J(x) = int_1^x s**(-j/2) ds in

@@ -330,7 +330,8 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     if not k > 0.0:
         raise DomainError("decay asymptotes require a positive gradient jump k")
     x = np.asarray(x, dtype=float)
-    amp = h * np.sqrt(2.0 / ((gas.gamma + 1.0) * k))
+    # Python floats: an overflow gives inf quietly, caught just below.
+    amp = float(h) * math.sqrt(2.0 / ((float(gas.gamma) + 1.0) * float(k)))
     if not math.isfinite(amp):
         raise DomainError(f"decay amplitude h*sqrt(2/((gamma+1)k)) overflows for k = {k}")
     with np.errstate(divide="ignore"):

@@ -444,6 +444,8 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
         raise DomainError("asymptotes need x > 1")
     J = ray_integral(x, geom)
     u = np.sqrt(4.0 * b / ((gas.gamma + 1.0) * J)) * psi(x, geom)
+    if not np.isfinite(u).all():
+        raise DomainError(f"the shock velocity jump overflows for b = {b}")
     return as_scalar(u, far_field_gradient(x, gas, geom))
 
 
@@ -456,8 +458,11 @@ def ruw_state(u, gas=GasParams()):
     a = 1.0 + 0.5 * (g - 1.0) * u
     if np.any(a <= 0.0):
         raise VacuumError("velocity at or below -2/(gamma-1): state reaches vacuum")
-    rho = a ** (2.0 / (g - 1.0))
-    p = a ** (2.0 * g / (g - 1.0)) / g
+    with np.errstate(over="ignore"):  # checked just below
+        rho = a ** (2.0 / (g - 1.0))
+        p = a ** (2.0 * g / (g - 1.0)) / g
+    if not np.isfinite(p).all():  # p = rho**gamma / gamma, so rho is finite too
+        raise DomainError("velocity u gives a state that overflows")
     return as_scalar(rho, p, a)
 
 

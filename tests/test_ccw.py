@@ -26,8 +26,9 @@ from shockdecay import (
     integrate_ccw,
     jumps_from_mach,
     mach_from_p_jump,
+    mu_nu,
 )
-from shockdecay import ccw
+from shockdecay import ccw, core
 from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory, integrate_ccw_geometries
 from shockdecay.core import MAX_X_END
 
@@ -164,6 +165,20 @@ def test_classic_coefficient_is_finite_and_monotone_at_large_mach():
         1.0 + 1.0 / math.sqrt(2.0 * gamma * (gamma - 1.0))
     )
     assert g[-1] == pytest.approx(limit, rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [1.1, 1.4, 5.0 / 3.0])
+def test_public_coefficients_equal_their_unchecked_kernels(gamma):
+    # The public entry points check U and call the kernels the CCW integrand
+    # uses: the same bits, arrays and scalars, over the tested Mach range.
+    U, gas = np.geomspace(1.0, 1e150, 2001), GasParams(gamma)
+    pairs = [(mu_nu, core._mu_nu), (g_classic, ccw._g_classic),
+             (g_generalized, ccw._g_generalized)]
+    for public, kernel in pairs:
+        expected = np.asarray(kernel(U, gamma))
+        assert np.array_equal(np.asarray(public(U, gas)), expected)
+        for i in (0, 1000, 2000):
+            assert np.array_equal(np.asarray(public(float(U[i]), gas)), expected[..., i])
 
 
 def test_classic_history_from_huge_mach_matches_quadrature():

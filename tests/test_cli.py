@@ -32,7 +32,8 @@ from shockdecay import (
     wngo_decay,
 )
 from shockdecay.cli import main
-from shockdecay.transport import CSV_HEADER, breakdown_distance
+from shockdecay.transport import (CSV_HEADER, Scenario, breakdown_distance, decay_slope,
+                                  integrate_truncated)
 
 
 def test_no_command_prints_usage():
@@ -489,6 +490,50 @@ def test_compare_methods_csvs_match_single_geometry_calls(gamma, tmp_path):
             integrate_ccw(U0, gas, geom, x_end, variant, n_samples=240).to_csv(ref)
             name = f"ccw_{variant.value}_{geom.name}.csv"
             assert (out_dir / name).read_bytes() == ref.read_bytes(), name
+        for branch, k in (("precursor", 1.0), ("acoustic", 0.0)):
+            scen = Scenario(gas=gas, geom=geom, h=h, k=k, x_end=x_end)
+            integrate_truncated(scen, n_samples=240).to_csv(ref)
+            name = f"transport_{branch}_{geom.name}.csv"
+            assert (out_dir / name).read_bytes() == ref.read_bytes(), name
+    assert len(list(out_dir.iterdir())) == 15
+
+
+@pytest.mark.parametrize("h, k", [(0.05, 1.0), (1e-3, 10.0), (0.1, 1e-3)])
+@pytest.mark.parametrize("gamma", [1.1, 1.4, 5.0 / 3.0])
+def test_compare_methods_transport_exponents_match_histories(gamma, h, k, tmp_path):
+    # The report reads [p] from the closed form on one shared grid; its
+    # exponents must equal, bit for bit, the fits over integrate_truncated's
+    # histories of both branches.
+    path, gas, x_end = tmp_path / "report.json", GasParams(gamma), 1e12
+    assert main(["compare-methods", "--gamma", repr(gamma), "--h", repr(h), "--k", repr(k),
+                 "--report", str(path)]) in (0, 4)
+    report = json.loads(path.read_text())
+    for geom in map(Geometry, (0, 1, 2)):
+        hist, acoustic = (
+            integrate_truncated(Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=x_end),
+                                n_samples=240)
+            for kb in (k, 0.0)
+        )
+        window = hist.x >= x_end / 100.0
+        assert report["geometries"][geom.name]["transport"] == {
+            "precursor_exponent": cli._corrected_slope(hist.x[window], hist.p_jump[window], geom),
+            "acoustic_exponent": decay_slope(acoustic.x[window], acoustic.p_jump[window]),
+        }
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_compare_methods_builds_one_transport_grid(monkeypatch, tmp_path, out_dir):
+    # One sample grid serves every geometry and branch; integrate_truncated
+    # runs only to write the transport CSVs, one per geometry and branch.
+    grids, histories = [], []
+    sample_grid, integrate = cli._sample_grid, cli.integrate_truncated
+    monkeypatch.setattr(cli, "_sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
+    monkeypatch.setattr(
+        cli, "integrate_truncated", lambda *a, **kw: histories.append(a) or integrate(*a, **kw))
+    argv = ["compare-methods", "--report", str(tmp_path / "report.json")]
+    assert main(argv + ["--out-dir", str(tmp_path / "csv")] * out_dir) == 0
+    assert len(grids) == 1
+    assert len(histories) == (6 if out_dir else 0)
 
 
 def test_compare_methods_failures_stay_per_geometry(tmp_path):

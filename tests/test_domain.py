@@ -81,3 +81,18 @@ for j in (0, 1, 2):  # psi and J are checked in every geometry, also where x is 
 def test_non_finite_input_raises_domain_error(name, value):
     with pytest.raises(sd.DomainError):
         CALLS[name](value)
+
+
+# Large but finite inputs whose answer overflows a float: DomainError, and
+# no overflow warning on the way.
+LARGE_FINITE = {
+    "asymptotic_law.h_over_k": lambda: sd.asymptotic_law(2.0, 1e300, 1e-300),
+    "wngo_decay.b": lambda: sd.wngo_decay(1e308, x=1.0000001),
+    "ruw_state.u": lambda: sd.ruw_state(1e300),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_FINITE))
+def test_large_finite_input_raises_domain_error(name):
+    with pytest.raises(sd.DomainError):
+        LARGE_FINITE[name]()
