@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (GasParams, Geometry, _machs, _mu_nu, as_scalar, check_x_end,
-                   gauss_legendre, jumps_from_mach, write_csv)
+                   jumps_from_mach, write_csv)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
 # effectively degenerated into a sound wave).
 WEAK_LIMIT_FLOOR = 1e-10
 _NEWTON_CAP = 50  # 3-4 steps suffice from the linear guess; more means a cycle
-# Newton runs over slices of at most this many samples: each step evaluates f
-# on eight nodes per sample, so memory stays bounded at any sample count.
+# Newton runs over slices of at most this many samples: each step evaluates
+# f and Phi elementwise, so memory stays bounded at any sample count.
 _NEWTON_SLICE = 65536
 
 
@@ -58,8 +58,29 @@ def _g_generalized(U, g):
     return (g + 1.0) * (2.0 * U * U / nu + (U * U + 1.0) / mu)
 
 
+def _phi_generalized(s, g):
+    """Phi for G: with w = U^2, f ds = G dw / (2(w - 1)) in partial fractions."""
+    e = np.exp(s)
+    m = e * (2.0 + e)  # U^2 - 1
+    return (2.0 * (s + np.log(2.0 + e)) - (g - 1.0) / (2.0 * g) * np.log1p(2.0 * g * m / (g + 1.0))
+            + (3.0 - g) / (2.0 * (g - 1.0)) * np.log1p((g - 1.0) * m / (g + 1.0)))
+
+
+def _phi_classic(s, g):
+    """Phi for g_classic: t = sqrt(mu/nu) makes f ds rational in t."""
+    e = np.exp(s)
+    m = e * (2.0 + e)
+    t = np.sqrt((g + 1.0 + (g - 1.0) * m) / (g + 1.0 + 2.0 * g * m))
+    c3 = (2.0 * g - 1.0) / (2.0 * math.sqrt(2.0 * g * (g - 1.0)))
+    return (2.0 * (s + np.log(2.0 + e)) - np.log1p(e) - 2.0 * np.log1p(t)
+            + ((g + 1.0) / (2.0 * g) - 1.5 + c3) * np.log1p(2.0 * g * m / (g + 1.0))
+            + 2.0 * c3 * np.log(math.sqrt(2.0 * g) * t + math.sqrt(g - 1.0))
+            - np.arctan(t * math.sqrt(0.5 * (g - 1.0))) / math.sqrt(2.0 * (g - 1.0)))
+
+
 # Unchecked kernels: the integrand's Mach numbers 1 + exp(s) need no check.
 _COEFFICIENTS = {CcwVariant.CLASSIC: _g_classic, CcwVariant.GENERALIZED: _g_generalized}
+_PHI = {CcwVariant.CLASSIC: _phi_classic, CcwVariant.GENERALIZED: _phi_generalized}
 
 
 @dataclass(frozen=True)
@@ -85,12 +106,12 @@ def integrate_ccw(
 ):
     """Evaluate the decay rule from (x=1, U=U0) at geomspace(1, x_end, n_samples).
 
-    With s = log(U - 1) the rule reads j log x = Phi(s) = int_s^s0 f, where
-    f = U g(U)/(U + 1) is smooth and bounded.  Phi is tabulated at the edges
-    of panels no wider than 1/2 in s, from s0 down to the weak-limit floor,
-    by 8-point Gauss-Legendre; each sample's s is then found by Newton's
-    method inside its panel (Phi' = -f).  The history ends at the last
-    sample with U - 1 at or above WEAK_LIMIT_FLOOR.
+    With s = log(U - 1) the rule reads j log x = Phi(s0) - Phi(s), where
+    Phi' = f = U g(U)/(U + 1) is smooth and bounded and Phi is elementary
+    (_phi_classic, _phi_generalized).  Each sample's s is found by Newton's
+    method, started on the chord of Phi between edges 1/2 apart in s.  The
+    history ends at the last sample with U - 1 at or above WEAK_LIMIT_FLOOR.
+    A U0 at which Phi or f overflows a float raises DomainError.
     """
     return integrate_ccw_geometries(U0, gas, [geom], x_end, variant, n_samples)[geom]
 
@@ -100,10 +121,10 @@ def integrate_ccw_geometries(
 ):
     """integrate_ccw for each geometry of ``geoms``: {Geometry: CcwHistory}.
 
-    Phi depends on U0, gas and variant only: one table and one Newton
-    iteration over the samples of every curved front (a planar one keeps
-    U = U0).  Each sample stops on its own step test and no sum depends on
-    its neighbours, so each history is integrate_ccw's.
+    Phi depends on U0, gas and variant only: one Newton iteration over the
+    samples of every curved front (a planar one keeps U = U0).  Each sample
+    is an elementwise closed form with its own step test, so each history
+    is integrate_ccw's.
     """
     if not 1.0 + WEAK_LIMIT_FLOOR < U0 < math.inf:
         raise DomainError(
@@ -112,12 +133,24 @@ def integrate_ccw_geometries(
     check_x_end(x_end)
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
-    f, edges, phi = _phi_table(U0, gas, variant)
+    coeff, phi_of, g = _COEFFICIENTS[variant], _PHI[variant], gas.gamma
+
+    def f(s):
+        U = 1.0 + np.exp(s)
+        return U * coeff(U, g) / (U + 1.0)
+
+    # The float ceiling: refuse a U0 whose Phi or f is not finite; no Newton
+    # iterate lies above s0, so nothing below it overflows.
+    s0, s_floor = math.log(U0 - 1.0), math.log(WEAK_LIMIT_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi0, f0 = phi_of(s0, g), f(s0)
+    if not np.isfinite([phi0, f0]).all():
+        raise DomainError(f"the decay rule overflows a float at U0 = {U0}, gamma = {g}")
+    edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)
+    phi = phi0 - phi_of(edges, g)  # int_edge^s0 f, rising from 0
     xs = np.geomspace(1.0, x_end, n_samples)
-    log_x = np.log(xs)
-    targets = [t[t <= phi[-1]] for t in (geom.j * log_x for geom in geoms)]
+    targets = [t[t <= phi[-1]] for t in (geom.j * np.log(xs) for geom in geoms)]
     target = np.concatenate(targets)
-    panel = np.minimum(np.searchsorted(phi, target, side="right") - 1, edges.size - 2)
     s = np.interp(target, phi, edges)
     for start in range(0, target.size, _NEWTON_SLICE):
         # A zero target (x = 1, a planar front) keeps U = U0.
@@ -125,11 +158,11 @@ def integrate_ccw_geometries(
         for _ in range(_NEWTON_CAP):
             if not live.size:
                 break
-            a, t, k = s[live], target[live], panel[live]
-            step = (phi[k] + gauss_legendre(f, a, edges[k]) - t) / f(a)
-            s[live] = a + step
-            # Phi(s) carries rounding of order eps * target, and s its own.
-            live = live[~(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(s[live]) + t))]
+            a, t = s[live], target[live]
+            step = (phi0 - phi_of(a, g) - t) / f(a)
+            s[live] = np.minimum(a + step, s0)
+            # Phi(s0) - Phi(s) rounds at eps * (|Phi(s0)| + target), s at its own.
+            live = live[~(abs(step) <= 8 * np.finfo(float).eps * (abs(s[live]) + t + abs(phi0)))]
         if live.size:
             raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
     out, pieces = {}, np.split(s, np.cumsum([t.size for t in targets])[:-1])
@@ -139,19 +172,3 @@ def integrate_ccw_geometries(
         out[geom] = CcwHistory(x=xs[: U.size], U=U, p_jump=np.asarray(p), variant=variant)
     return out
 
-
-def _phi_table(U0, gas, variant):
-    """The integrand f(s), the panel edges in s and Phi at those edges."""
-    coeff, g = _COEFFICIENTS[variant], gas.gamma
-
-    def f(s):
-        U = 1.0 + np.exp(s)
-        return U * coeff(U, g) / (U + 1.0)
-
-    s0, s_floor = math.log(U0 - 1.0), math.log(WEAK_LIMIT_FLOOR)
-    edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        phi = np.concatenate(([0.0], np.cumsum(gauss_legendre(f, edges[1:], edges[:-1]))))
-    if not np.isfinite(phi[-1]):
-        raise DomainError(f"the decay coefficient overflows for U0 = {U0}")
-    return f, edges, phi

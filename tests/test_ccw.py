@@ -153,6 +153,53 @@ def test_history_matches_separable_quadrature(variant, j, gamma):
             assert np.all(err <= 1e-12)
 
 
+@pytest.mark.parametrize("variant", list(CcwVariant))
+@pytest.mark.parametrize("gamma", [1.001, 1.01, 1.1, 1.4, 5.0 / 3.0, 3.0, 20.0, 33.0])
+def test_phi_closed_form_matches_quadrature(variant, gamma):
+    # Phi(s0) - Phi(s1) = int_s1^s0 f with f = U g(U)/(U + 1), from the weak
+    # end (s = -23, U - 1 = 1e-10) to U ~ 1e65 (s = 150).  The oracle sums
+    # adaptive quadrature over unit pieces of s.
+    gas, phi = GasParams(gamma), ccw._PHI[variant]
+
+    def f(s):
+        u = 1.0 + math.exp(s)
+        return u * COEFFICIENT[variant](u, gas) / (u + 1.0)
+
+    intervals = ((-22.0, -23.0), (-5.0, -23.0), (0.3, -23.0), (3.0, -1.0), (40.0, 2.0),
+                 (150.0, 100.0), (150.0, -23.0))
+    for s0, s1 in intervals:
+        edges = np.linspace(s1, s0, math.ceil(s0 - s1) + 1)
+        expected = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                             for a, b in zip(edges, edges[1:]))
+        assert phi(s0, gamma) - phi(s1, gamma) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [1.01, 1.4, 33.0])
+def test_phi_far_field_slope_is_the_coefficient_limit(gamma):
+    # f = U g(U)/(U + 1) -> g(inf) as U -> inf, so dPhi/ds tends to the
+    # classic limit pinned below and to G(inf) = (g+1)(1/g + 1/(g-1)).
+    classic = (1.0 + 2.0 * math.sqrt((gamma - 1.0) / (2.0 * gamma))) * (
+        1.0 + 1.0 / math.sqrt(2.0 * gamma * (gamma - 1.0))
+    )
+    generalized = (gamma + 1.0) * (1.0 / gamma + 1.0 / (gamma - 1.0))
+    for variant, limit in ((CcwVariant.CLASSIC, classic), (CcwVariant.GENERALIZED, generalized)):
+        phi = ccw._PHI[variant]
+        assert (phi(301.0, gamma) - phi(299.0, gamma)) / 2.0 == pytest.approx(limit, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(CcwVariant))
+@pytest.mark.parametrize("gamma", [1.001, 1.4, 33.0])
+def test_newton_stops_where_phi_dwarfs_the_target(variant, gamma):
+    # At U0 = 2 (s0 = 0) the first cylindrical target is log(100)/199 while
+    # Phi(s0) is of order 1 and rounds at eps times that: Newton must still
+    # stop, and on the separable-quadrature answer.
+    gas, j = GasParams(gamma), 1
+    hist = integrate_ccw(2.0, gas, Geometry(j), 100.0, variant, 200)
+    assert hist.U.size == 200
+    np.testing.assert_allclose(_log_x(hist.U[1:], 2.0, gas, j, variant), np.log(hist.x[1:]),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_classic_coefficient_is_finite_and_monotone_at_large_mach():
     # mu*nu ~ U^4 overflows near U = 4e76; g must keep falling to its limit
     # (1 + 2 sqrt((g-1)/(2g))) (1 + 1/sqrt(2g(g-1))) instead of dropping.
@@ -223,9 +270,9 @@ def test_newton_cap_is_a_solver_error(monkeypatch):
 
 @pytest.mark.parametrize("U0, gamma", [(1.0001, 1.4), (1.02, 1.1), (1.5, 5.0 / 3.0), (10.0, 3.0)])
 def test_geometries_in_one_call_match_single_calls(U0, gamma):
-    # One Phi table and one Newton iteration for all geometries give each
-    # geometry's integrate_ccw history bit for bit, in either order, also where
-    # the spherical run stops at the weak-limit floor and the cylindrical one
+    # One Newton iteration for all geometries gives each geometry's
+    # integrate_ccw history bit for bit, in either order, also where the
+    # spherical run stops at the weak-limit floor and the cylindrical one
     # does not.
     gas, order = GasParams(gamma), [Geometry(2), Geometry(0), Geometry(1)]
     for variant, geoms in itertools.product(CcwVariant, (order, order[::-1])):
@@ -238,8 +285,8 @@ def test_geometries_in_one_call_match_single_calls(U0, gamma):
 
 
 def test_newton_slices_bound_memory():
-    # Each Newton step evaluates f on eight nodes per live sample; in slices
-    # of _NEWTON_SLICE samples 300,000 of them stay below 64 MiB (144 unsliced).
+    # Each Newton step evaluates f and Phi elementwise on the live samples;
+    # in slices of _NEWTON_SLICE samples 300,000 of them stay below 64 MiB.
     tracemalloc.start()
     try:
         hist = integrate_ccw(1.5, GAS, Geometry(1), x_end=100.0, n_samples=300_000)

@@ -186,6 +186,8 @@ def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
         # (gamma+1) k J(x_end)/2 overflows, so I(x) of the closed form would too.
         ["evolve", "--gamma", "1e300", "--k", "1e300"],
         ["evolve", "--k", "1e300", "--x-end", "1e12"],
+        # Just below the float ceiling, where the classic rule's Phi overflows.
+        ["ccw", "--u0", "1.2e154", "--variant", "classic"],
     ],
 )
 def test_non_finite_input_is_config_error(argv, capsys):
@@ -556,9 +558,9 @@ def test_compare_methods_failures_stay_per_geometry(tmp_path):
 def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
     # One default run does no equal-area scan (the pulse on the tau scan
     # grid): every bracket comes from the half-sine's closed-form root.  It
-    # builds one Phi table per CCW rule, for all three geometries.
-    scan, scans, tables = np.linspace(0.0, 1.0, 400)[1:], [], []
-    half_sine, phi_table = BoundaryPulse.half_sine, ccw._phi_table
+    # runs each CCW rule once, for all three geometries.
+    scan, scans, ccw_runs = np.linspace(0.0, 1.0, 400)[1:], [], []
+    half_sine, ccw_geometries = BoundaryPulse.half_sine, cli.integrate_ccw_geometries
 
     def counting_half_sine(v0, tau0):
         pulse = half_sine(v0, tau0)
@@ -572,15 +574,42 @@ def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
         pulse.v = counted
         return pulse
 
-    def counting_phi_table(*args):
-        tables.append(args)
-        return phi_table(*args)
+    def counting_ccw_geometries(U0, gas, geoms, x_end, variant, n_samples):
+        ccw_runs.append((variant, list(geoms)))
+        return ccw_geometries(U0, gas, geoms, x_end, variant, n_samples)
 
     monkeypatch.setattr(BoundaryPulse, "half_sine", staticmethod(counting_half_sine))
-    monkeypatch.setattr(ccw, "_phi_table", counting_phi_table)
+    monkeypatch.setattr(cli, "integrate_ccw_geometries", counting_ccw_geometries)
     assert main(["compare-methods"]) == 0
     assert len(scans) == 0
-    assert sorted(variant.value for *_, variant in tables) == ["classic", "generalized"]
+    assert sorted(variant.value for variant, _ in ccw_runs) == ["classic", "generalized"]
+    assert all(len(geoms) == 3 for _, geoms in ccw_runs)
+
+
+def test_compare_methods_ccw_kernel_cost(monkeypatch, capsys, tmp_path):
+    # Phi is closed form, so the coefficient kernel runs only in Newton's
+    # f(s) and once at s0: at most 4 elements per curved-front sample for
+    # each rule, which takes 2-3 Newton steps per sample.
+    counts = dict.fromkeys(CcwVariant, 0)
+
+    def counting(variant, kernel):
+        def counted(U, g):
+            counts[variant] += np.size(U)
+            return kernel(U, g)
+
+        return counted
+
+    monkeypatch.setattr(ccw, "_COEFFICIENTS", {
+        variant: counting(variant, kernel) for variant, kernel in ccw._COEFFICIENTS.items()})
+    out_dir = tmp_path / "csv"
+    out_dir.mkdir()
+    assert main(["compare-methods", "--out-dir", str(out_dir)]) == 0
+    for variant in CcwVariant:
+        samples = sum(np.genfromtxt(out_dir / f"ccw_{variant.value}_{name}.csv",
+                                    delimiter=",", names=True).size - 1
+                      for name in ("cylindrical", "spherical"))
+        assert samples > 300
+        assert 0 < counts[variant] <= 4 * samples
 
 
 def test_compare_methods_far_spherical_formation_is_a_failed_route(tmp_path, capsys):

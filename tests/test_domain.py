@@ -96,3 +96,25 @@ LARGE_FINITE = {
 def test_large_finite_input_raises_domain_error(name):
     with pytest.raises(sd.DomainError):
         LARGE_FINITE[name]()
+
+
+# Characteristic-rule starts near the float ceiling: a finite history or
+# DomainError, never a warning.  Every start up to 1e153 is accepted.
+CCW_CEILING = [
+    (gamma, U0, variant)
+    for gamma in (1.01, 1.4, 33.0)
+    for U0 in (1e150, 1e153, 5e153, 8e153, 1e154, 1.3e154, 1e200, 1e300)
+    for variant in sd.CcwVariant
+]
+
+
+@pytest.mark.parametrize(
+    "gamma, U0, variant", CCW_CEILING, ids=[f"{v.value}-{g}-{u:g}" for g, u, v in CCW_CEILING]
+)
+def test_large_ccw_start_gives_finite_history_or_domain_error(gamma, U0, variant):
+    try:
+        hist = sd.integrate_ccw(U0, sd.GasParams(gamma), CYL, 1e6, variant)
+    except sd.DomainError:
+        assert U0 > 1e153
+        return
+    assert np.all(np.isfinite(hist.U)) and np.all(np.isfinite(hist.p_jump))
