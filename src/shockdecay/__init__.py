@@ -38,7 +38,6 @@ from .transport import (
     Scenario,
     SecondOrderCoefficients,
     ShockHistory,
-    TMatrix,
     asymptotic_law,
     breakdown_distance,
     closed_form,
@@ -47,8 +46,6 @@ from .transport import (
     integrate_truncated,
     leading_order_reference,
     second_order_coefficients,
-    t_matrix,
-    t_matrix_derivatives,
 )
 from .wavefront import (
     BoundaryPulse,
@@ -81,7 +78,6 @@ __all__ = [
     "ShockError",
     "ShockHistory",
     "SolverError",
-    "TMatrix",
     "VacuumError",
     "AsymptoteConvention",
     "asymptotic_law",
@@ -106,8 +102,6 @@ __all__ = [
     "ruw_state",
     "second_order_coefficients",
     "simple_wave_u",
-    "t_matrix",
-    "t_matrix_derivatives",
     "wavelet_time",
     "wngo_decay",
 ]

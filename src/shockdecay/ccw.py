@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GasParams, Geometry, _machs, _mu_nu, as_scalar, check_x_end,
+from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, as_scalar, check_x_end,
                    jumps_from_mach, write_csv)
 from .errors import DomainError, SolverError
 
@@ -111,7 +111,8 @@ def integrate_ccw(
     (_phi_classic, _phi_generalized).  Each sample's s is found by Newton's
     method, started on the chord of Phi between edges 1/2 apart in s.  The
     history ends at the last sample with U - 1 at or above WEAK_LIMIT_FLOOR.
-    A U0 at which Phi or f overflows a float raises DomainError.
+    A U0 above MAX_MACH, or at which Phi or f overflows a float, raises
+    DomainError.
     """
     return integrate_ccw_geometries(U0, gas, [geom], x_end, variant, n_samples)[geom]
 
@@ -126,9 +127,9 @@ def integrate_ccw_geometries(
     is an elementwise closed form with its own step test, so each history
     is integrate_ccw's.
     """
-    if not 1.0 + WEAK_LIMIT_FLOOR < U0 < math.inf:
+    if not 1.0 + WEAK_LIMIT_FLOOR < U0 <= MAX_MACH:
         raise DomainError(
-            f"initial Mach number must be finite and exceed 1 + {WEAK_LIMIT_FLOOR:g}"
+            f"initial Mach number must exceed 1 + {WEAK_LIMIT_FLOOR:g} and be <= {MAX_MACH:g}"
         )
     check_x_end(x_end)
     if not isinstance(variant, CcwVariant):
@@ -165,10 +166,9 @@ def integrate_ccw_geometries(
             live = live[~(abs(step) <= 8 * np.finfo(float).eps * (abs(s[live]) + t + abs(phi0)))]
         if live.size:
             raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
-    out, pieces = {}, np.split(s, np.cumsum([t.size for t in targets])[:-1])
-    for geom, t, s_geom in zip(geoms, targets, pieces):
-        U = np.where(t == 0.0, U0, 1.0 + np.exp(s_geom))
-        p = jumps_from_mach(U, gas).p_jump
-        out[geom] = CcwHistory(x=xs[: U.size], U=U, p_jump=np.asarray(p), variant=variant)
-    return out
+    U = np.where(target == 0.0, U0, 1.0 + np.exp(s))
+    p = np.asarray(jumps_from_mach(U, gas).p_jump)  # elementwise: one call for every geometry
+    cuts = np.cumsum([t.size for t in targets])[:-1]
+    return {geom: CcwHistory(x=xs[: U_geom.size], U=U_geom, p_jump=p_geom, variant=variant)
+            for geom, U_geom, p_geom in zip(geoms, np.split(U, cuts), np.split(p, cuts))}
 

@@ -22,6 +22,9 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # Largest accepted x_end (inclusive): the transport and CCW routes are
 # checked against their oracles up to this range, and not beyond it.
 MAX_X_END = 1e18
+# Largest accepted shock Mach number (inclusive): the largest CCW start that
+# is checked, and U^2 and 2 gamma U^2 stay finite there for gamma < 89.
+MAX_MACH = 1e153
 
 
 def check_x_end(x_end):
@@ -111,12 +114,13 @@ def write_csv(dest, header, columns):
         dest.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _finite_from(values, lo, name):
-    """values as a float array; DomainError unless each is finite and >= lo."""
+def _finite_from(values, lo, name, hi=np.finfo(float).max):
+    """values as a float array; DomainError unless each is finite and in [lo, hi]."""
     values = np.asarray(values, dtype=float)
     # A NaN fails min() >= lo; two reductions cost less than np.all of a comparison.
-    if values.size and not (values.min() >= lo and values.max() < np.inf):
-        raise DomainError(f"{name} must be finite and >= {lo:g}")
+    if values.size and not (values.min() >= lo and values.max() <= hi):
+        upper = f" and <= {hi:g}" if hi < np.finfo(float).max else ""
+        raise DomainError(f"{name} must be finite and >= {lo:g}{upper}")
     return values
 
 
@@ -125,13 +129,13 @@ def _positions(x):
     return _finite_from(x, 1.0, "position")
 
 
-def _machs(mach):
-    """Shock Mach numbers as a float array: finite and >= 1."""
-    return _finite_from(mach, 1.0, "shock Mach number")
+def _machs(mach, hi=MAX_MACH):
+    """Shock Mach numbers as a float array: in [1, hi]."""
+    return _finite_from(mach, 1.0, "shock Mach number", hi)
 
 
 def jumps_from_mach(mach, gas=GasParams()):
-    """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` >= 1."""
+    """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` in [1, MAX_MACH]."""
     mach = _machs(mach)
     g = gas.gamma
     u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)

@@ -33,11 +33,11 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _machs,
     _positions,
     as_scalar,
     check_x_end,
     far_field_gradient,
-    mu_nu,
     psi,
     ray_integral,
     ray_integral_inverse,
@@ -56,16 +56,6 @@ class FirstOrderCoefficients:
 
 
 @dataclass(frozen=True)
-class TMatrix:
-    """Entries of the matrix mapping ([p_x], 1) to ([u_x], [rho_x])."""
-
-    t11: float
-    t12: float
-    t21: float
-    t22: float
-
-
-@dataclass(frozen=True)
 class SecondOrderCoefficients:
     """Coefficients of d[p_x]/dx + k21*[p_xx] + k22*[p_x]^2 + k23*[p_x] + k24 = 0."""
 
@@ -76,130 +66,99 @@ class SecondOrderCoefficients:
     eta: float
 
 
-def _front_state(U, gas, j, x=1.0):
-    """Validated (omega, mu, nu, D, k11, k12) of a front of Mach number U.
+# Largest Mach number the coefficient functions accept.  The kernel's
+# largest products, (U D)^2 and the numerator of dT12/dU, grow like U^10
+# times a power of gamma.  Against a 50-digit evaluation the first wrong
+# output lies near 4.9e30 as gamma -> 1, 3.7e30 at gamma = 3 and 2.1e30 at
+# gamma = 20; at 1e30 every output is right for gamma up to about 210.
+MAX_COEFFICIENT_MACH = 1e30
 
-    omega = j/x is the front curvature; first_order_coefficients, which is
-    given omega itself, passes it as j with x = 1.  k12 takes the reduced
-    form k11 * 2 nu omega/(gamma+1)^2.
+
+def _coefficients(m, g, j, x):
+    """Coefficients of the transport pair for a front with U^2 - 1 = m.
+
+    Plain floats, unchecked: m >= 0, gamma g, curvature omega = j/x at
+    position x.  Returns k11, k12, T = (t11, t12, t21, t22), the matrix
+    mapping ([p_x], 1) to ([u_x], [rho_x]), dT = (dT11/dU, dT12/dU at fixed
+    x, dT12/dx at fixed U), and (k21, k22, k23, k24, eta).  With
+    mu = (g+1) + (g-1) m, nu = (g+1) + 2 g m and D = U^2 (2 mu + nu) + nu,
+    k11 = -2 m mu / D and k12/k11 = 2 nu omega/(g+1)^2; t12 takes the reduced
+    form -2 nu (U^4 - 1) omega / ((g+1) U D), U^4 - 1 = m (2 + m), which has
+    no 0/0 as m -> 0.  Powers are written as products: a float product
+    overflows to inf, where ** raises OverflowError.
     """
-    _positions(x)
-    omega = j / x
-    if not 0.0 <= omega < math.inf:
+    gp = g + 1.0
+    if m == 0.0 and j == 0:  # the exact planar weak limits, which the general forms miss by ulps
+        return 0.0, 0.0, (1.0, 0.0, 1.0, 0.0), (-2.0, 0.0, 0.0), (0.0, 0.5 * gp, 0.0, 0.0, 0.5)
+    w, U = 1.0 + m, math.sqrt(1.0 + m)  # U^2, U
+    omega, omega_prime = j / x, -j / (x * x)
+    mu, nu = gp + (g - 1.0) * m, gp + 2.0 * g * m
+    D = w * (2.0 * mu + nu) + nu
+    k11 = -2.0 * m * mu / D
+    ratio = 2.0 * nu * omega / (gp * gp)  # k12/k11, reduced
+    k12 = k11 * ratio
+    dmu, dnu = 2.0 * (g - 1.0) * U, 4.0 * g * U
+    dD = 2.0 * U * (2.0 * mu + nu) + w * (2.0 * dmu + dnu) + dnu
+    dk11 = -2.0 * ((2.0 * U * mu + m * dmu) * D - m * mu * dD) / (D * D)
+    # t11 = N/M with N = mu - (g+1) k11 U^2 and M = nu U
+    N, M = mu - gp * k11 * w, nu * U
+    dN = dmu - gp * (dk11 * w + 2.0 * U * k11)
+    dM = dnu * U + nu
+    # t12 = f(U) omega
+    q, UD = m * (2.0 + m), U * D
+    f = -2.0 * q * nu / (gp * UD)
+    df = -2.0 * ((4.0 * U * w * nu + q * dnu) * UD - q * nu * (D + U * dD)) / (gp * UD * UD)
+    t11, t12 = N / M, f * omega
+    mu3 = mu * mu * mu
+    t21 = gp * gp * w * (mu * mu - gp * (mu * w - nu) * k11) / (nu * mu3)
+    t22 = w * gp * (gp * gp * (w + 3.0) * k12 + 4.0 * mu * m * omega) / (2.0 * mu3)
+    dt11, dt12_dU, dt12_dx = (dN * M - N * dM) / (M * M), df * omega, f * omega_prime
+    eta = mu / (2.0 * mu - gp * U * k11)
+    k21 = m * eta / w
+    k22 = (gp * eta / (U * mu)) * (
+        t11 * (mu + nu * U * t11 / gp) + (nu * k11 / 4.0) * dt11
+    ) - mu * nu * eta * t21 / (gp * gp * w * w)
+    k23 = (
+        (t12 * eta / mu) * (mu * gp + 2.0 * nu * U * t11) / U
+        + eta * omega * gp / U * (nu * t11 + (2.0 * g / U) * m)
+        - mu * nu * eta * t22 / (w * w * gp * gp)
+        + (eta * nu * k11 / (4.0 * mu)) * (gp / U) * (ratio * dt11 + dt12_dU)
+    )
+    k24 = (
+        2.0 * eta * (nu / w) * m * omega_prime / (gp * gp)
+        + eta * nu * t12 * omega / (U * gp)
+        + (nu * eta / mu) * (t12 * t12 + U * dt12_dx + gp * (k12 / (4.0 * U)) * dt12_dU)
+    )
+    return k11, k12, (t11, t12, t21, t22), (dt11, dt12_dU, dt12_dx), (k21, k22, k23, k24, eta)
+
+
+def _checked_coefficients(U, gas, j, x):
+    """_coefficients for a Mach number U in [1, MAX_COEFFICIENT_MACH], x >= 1, j/x >= 0."""
+    x = float(_positions(x))
+    if not 0.0 <= j / x < math.inf:
         raise DomainError("curvature j/x must be finite and >= 0")
-    mu, nu = mu_nu(U, gas)  # checks U
-    D = U * U * (2.0 * mu + nu) + nu
-    k11 = -2.0 * (U * U - 1.0) * mu / D
-    return omega, mu, nu, D, k11, k11 * 2.0 * nu * omega / (gas.gamma + 1.0) ** 2
+    U = float(_machs(U, MAX_COEFFICIENT_MACH))
+    return _coefficients(U * U - 1.0, float(gas.gamma), j, x)
 
 
 def first_order_coefficients(U, gas=GasParams(), omega=0.0):
     """Transport coefficients for the shock-strength equation.
 
-    U: shock Mach number (>= 1); omega: front curvature j/x (>= 0).
+    U: shock Mach number in [1, MAX_COEFFICIENT_MACH]; omega: front
+    curvature j/x (>= 0).
     """
-    *_, k11, k12 = _front_state(U, gas, omega)
-    return FirstOrderCoefficients(k11, k12)
-
-
-def _gradient_map(U, gas, geom, x):
-    """Front state, T, and (dT11/dU, dT12/dU at fixed x, dT12/dx at fixed U)."""
-    state = _front_state(U, gas, geom.j, x)
-    if U == 1.0 and geom.j == 0:  # exact weak limits, which the general forms miss by an ulp
-        return state, TMatrix(1.0, 0.0, 1.0, 0.0), (-2.0, 0.0, 0.0)
-    omega, mu, nu, D, k11, k12 = state
-    g = gas.gamma
-    dmu = 2.0 * (g - 1.0) * U
-    dnu = 4.0 * g * U
-    dD = 2.0 * U * (2.0 * mu + nu) + U * U * (2.0 * dmu + dnu) + dnu
-    dk11 = (
-        -2.0
-        * ((2.0 * U * mu + (U * U - 1.0) * dmu) * D - (U * U - 1.0) * mu * dD)
-        / D**2
-    )
-    # t11 = N/M with N = mu - (g+1) k11 U^2 and M = nu U
-    N = mu - (g + 1.0) * k11 * U * U
-    M = nu * U
-    dN = dmu - (g + 1.0) * (dk11 * U * U + 2.0 * U * k11)
-    dM = dnu * U + nu
-    # t12 = f(U) * omega with f = -2 (U^4 - 1) nu / ((g+1) U D)
-    f = -2.0 * (U**4 - 1.0) * nu / ((g + 1.0) * U * D)
-    df = (
-        -2.0
-        * (
-            (4.0 * U**3 * nu + (U**4 - 1.0) * dnu) * (U * D)
-            - (U**4 - 1.0) * nu * (D + U * dD)
-        )
-        / ((g + 1.0) * (U * D) ** 2)
-    )
-    t21 = (
-        (g + 1.0) ** 2
-        * U
-        * U
-        * (mu * mu - (g + 1.0) * (mu * U * U - nu) * k11)
-        / (nu * mu**3)
-    )
-    t22 = (
-        U
-        * U
-        * (g + 1.0)
-        * ((g + 1.0) ** 2 * (U * U + 3.0) * k12 + 4.0 * mu * (U * U - 1.0) * omega)
-        / (2.0 * mu**3)
-    )
-    T = TMatrix(N / M, f * omega, t21, t22)
-    return state, T, ((dN * M - N * dM) / M**2, df * omega, f * (-geom.j / x**2))
-
-
-def t_matrix(U, gas=GasParams(), geom=Geometry(0), x=1.0):
-    """Gradient-reconstruction matrix at shock state (U, x).
-
-    The entries are the unique ones for which ([u_x], [rho_x]) built from
-    ([p_x], 1) closes the three governing jump equations; the test suite
-    checks that residual directly.  t12 is evaluated in the reduced form
-    -2*nu*(U^4-1)*Omega / ((gamma+1)*U*D), which removes the spurious
-    0/0 of the raw k12/k11 quotient as U -> 1.
-    """
-    return _gradient_map(U, gas, geom, x)[1]
-
-
-def t_matrix_derivatives(U, gas=GasParams(), geom=Geometry(0), x=1.0):
-    """Analytic (dT11/dU, dT12/dU at fixed x, dT12/dx at fixed U)."""
-    return _gradient_map(U, gas, geom, x)[2]
+    return FirstOrderCoefficients(*_checked_coefficients(U, gas, omega, 1.0)[:2])
 
 
 def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
     """Transport coefficients for the gradient-jump equation.
 
-    The derivative terms inside k22..k24 use the analytic expressions of
-    t_matrix_derivatives; the k12/k11 quotient is evaluated in the reduced
-    form 2*nu*Omega/(gamma+1)^2 which stays finite as U -> 1.
+    The derivative terms inside k22..k24 use the analytic derivatives of T;
+    the k12/k11 quotient is evaluated in the reduced form 2 nu Omega/(gamma+1)^2,
+    which stays finite as U -> 1.  k23 is the printed one (README, "Known
+    deviations").
     """
-    (omega, mu, nu, _, k11, k12), tm, (dt11, dt12_dU, dt12_dx) = _gradient_map(U, gas, geom, x)
-    g = gas.gamma
-    if U == 1.0 and geom.j == 0:
-        return SecondOrderCoefficients(0.0, 0.5 * (g + 1.0), 0.0, 0.0, 0.5)
-    omega_prime = -geom.j / x**2
-    ratio = 2.0 * nu * omega / (g + 1.0) ** 2  # k12/k11, reduced
-    eta = mu / (2.0 * mu - (g + 1.0) * U * k11)
-    k21 = (U * U - 1.0) * eta / (U * U)
-    k22 = ((g + 1.0) * eta / (U * mu)) * (
-        tm.t11 * (mu + nu * U * tm.t11 / (g + 1.0)) + (nu * k11 / 4.0) * dt11
-    ) - mu * nu * eta * tm.t21 / ((g + 1.0) ** 2 * U**4)
-    k23 = (
-        (tm.t12 * eta / mu) * (mu * (g + 1.0) + 2.0 * nu * U * tm.t11) / U
-        + eta * omega * (g + 1.0) / U * (nu * tm.t11 + (2.0 * g / U) * (U * U - 1.0))
-        - mu * nu * eta * tm.t22 / (U**4 * (g + 1.0) ** 2)
-        + (eta * nu * k11 / (4.0 * mu))
-        * ((g + 1.0) / U)
-        * (ratio * dt11 + dt12_dU)
-    )
-    k24 = (
-        2.0 * eta * (nu / (U * U)) * (U * U - 1.0) * omega_prime / (g + 1.0) ** 2
-        + eta * nu * tm.t12 * omega / (U * (g + 1.0))
-        + (nu * eta / mu)
-        * (tm.t12**2 + U * dt12_dx + (g + 1.0) * (k12 / (4.0 * U)) * dt12_dU)
-    )
-    return SecondOrderCoefficients(k21, k22, k23, k24, eta)
+    return SecondOrderCoefficients(*_checked_coefficients(U, gas, geom.j, x)[4])
 
 
 class AsymptoteConvention(enum.Enum):

@@ -6,12 +6,15 @@ so a raw RuntimeWarning on the way fails a case as well.  decay_slope's y is
 absent: it skips samples that are not positive and finite, by design.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import shockdecay as sd
+from shockdecay.core import MAX_MACH
+from shockdecay.transport import MAX_COEFFICIENT_MACH
 
 GAS, CYL = sd.GasParams(1.4), sd.Geometry(1)
 PULSE = sd.BoundaryPulse.half_sine(0.05, 1.0)
@@ -27,10 +30,6 @@ CALLS = {
     "integrate_ccw.x_end": lambda v: sd.integrate_ccw(1.5, GAS, CYL, v),
     "first_order_coefficients.U": lambda v: sd.first_order_coefficients(v, GAS, 0.5),
     "first_order_coefficients.omega": lambda v: sd.first_order_coefficients(1.2, GAS, v),
-    "t_matrix.U": lambda v: sd.t_matrix(v, GAS, CYL, 2.0),
-    "t_matrix.x": lambda v: sd.t_matrix(1.2, GAS, CYL, v),
-    "t_matrix_derivatives.U": lambda v: sd.t_matrix_derivatives(v, GAS, CYL, 2.0),
-    "t_matrix_derivatives.x": lambda v: sd.t_matrix_derivatives(1.2, GAS, CYL, v),
     "second_order_coefficients.U": lambda v: sd.second_order_coefficients(v, GAS, CYL, 2.0),
     "second_order_coefficients.x": lambda v: sd.second_order_coefficients(1.2, GAS, CYL, v),
     "Scenario.h": lambda v: sd.Scenario(GAS, CYL, h=v),
@@ -83,12 +82,26 @@ def test_non_finite_input_raises_domain_error(name, value):
         CALLS[name](value)
 
 
-# Large but finite inputs whose answer overflows a float: DomainError, and
-# no overflow warning on the way.
+# Large but finite inputs whose answer overflows a float, or which lie above
+# a Mach ceiling (core.MAX_MACH, transport.MAX_COEFFICIENT_MACH): DomainError,
+# and no overflow warning on the way.
 LARGE_FINITE = {
     "asymptotic_law.h_over_k": lambda: sd.asymptotic_law(2.0, 1e300, 1e-300),
     "wngo_decay.b": lambda: sd.wngo_decay(1e308, x=1.0000001),
     "ruw_state.u": lambda: sd.ruw_state(1e300),
+    "jumps_from_mach.mach": lambda: sd.jumps_from_mach(1e200),
+    "mu_nu.mach": lambda: sd.mu_nu(1e200),
+    "g_classic.U": lambda: sd.g_classic(1e200),
+    "g_generalized.U": lambda: sd.g_generalized(1e200),
+    "jumps_from_mach.above_max_mach": lambda: sd.jumps_from_mach([1.5, 1.01 * MAX_MACH]),
+    "first_order_coefficients.U": lambda: sd.first_order_coefficients(1e77, GAS, 0.5),
+    "first_order_coefficients.above_ceiling": lambda: sd.first_order_coefficients(
+        1.01 * MAX_COEFFICIENT_MACH
+    ),
+    "second_order_coefficients.U": lambda: sd.second_order_coefficients(1e38, GAS, CYL, 2.0),
+    "second_order_coefficients.above_ceiling": lambda: sd.second_order_coefficients(
+        1.01 * MAX_COEFFICIENT_MACH, GAS, CYL, 2.0
+    ),
 }
 
 
@@ -98,8 +111,23 @@ def test_large_finite_input_raises_domain_error(name):
         LARGE_FINITE[name]()
 
 
+@pytest.mark.parametrize("gamma", [1.01, 1.4, 5.0 / 3.0, 3.0, 20.0])
+def test_coefficients_at_the_mach_ceiling(gamma):
+    # At the ceiling every coefficient is finite, and k11 has reached its
+    # large-U limit -(gamma-1)/(2 gamma-1); the correction is O(U^-2).
+    gas = sd.GasParams(gamma)
+    k11 = sd.first_order_coefficients(MAX_COEFFICIENT_MACH, gas, 0.5).k11
+    assert k11 == pytest.approx(-(gamma - 1.0) / (2.0 * gamma - 1.0), rel=1e-14)
+    for j in (0, 1, 2):
+        c = sd.second_order_coefficients(MAX_COEFFICIENT_MACH, gas, sd.Geometry(j), 2.0)
+        assert all(math.isfinite(v) for v in dataclasses.astuple(c))
+    assert all(math.isfinite(v) for v in dataclasses.astuple(sd.jumps_from_mach(MAX_MACH, gas)))
+    for f in (sd.mu_nu, sd.g_classic, sd.g_generalized):
+        assert np.all(np.isfinite(f(MAX_MACH, gas)))
+
+
 # Characteristic-rule starts near the float ceiling: a finite history or
-# DomainError, never a warning.  Every start up to 1e153 is accepted.
+# DomainError, never a warning.  Every start up to MAX_MACH = 1e153 is accepted.
 CCW_CEILING = [
     (gamma, U0, variant)
     for gamma in (1.01, 1.4, 33.0)
@@ -115,6 +143,6 @@ def test_large_ccw_start_gives_finite_history_or_domain_error(gamma, U0, variant
     try:
         hist = sd.integrate_ccw(U0, sd.GasParams(gamma), CYL, 1e6, variant)
     except sd.DomainError:
-        assert U0 > 1e153
+        assert U0 > MAX_MACH
         return
     assert np.all(np.isfinite(hist.U)) and np.all(np.isfinite(hist.p_jump))

@@ -62,3 +62,9 @@ def test_program_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "ok"
     assert (tmp_path / "report.json").is_file() and (tmp_path / "fit.csv").is_file()
+
+
+def test_every_exported_name_resolves_once():
+    # A stale or repeated __all__ entry breaks `from shockdecay import *`.
+    assert len(set(shockdecay.__all__)) == len(shockdecay.__all__)
+    assert [name for name in shockdecay.__all__ if not hasattr(shockdecay, name)] == []

@@ -7,7 +7,9 @@ residuals of those balance laws are recomputed here from primitive
 quantities, independently of the coefficient formulas under test.
 """
 
+import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,20 +32,26 @@ from shockdecay import (
     psi,
     ray_integral,
     second_order_coefficients,
-    t_matrix,
-    t_matrix_derivatives,
 )
 from shockdecay.transport import (
+    MAX_COEFFICIENT_MACH,
     MAX_X_END,
     REFERENCE_CASES,
     REFERENCE_X,
     ShockHistory,
+    _coefficients,
     asymptotic_law,
 )
 from transport_oracle import ode_oracle
 
 GAS = GasParams(1.4)
 PLANAR, CYL, SPH = Geometry(0), Geometry(1), Geometry(2)
+GAMMAS = (1.01, 1.1, 1.3, 1.4, 5.0 / 3.0)
+
+
+def t_matrix(U, gas, geom, x=1.0):
+    """The gradient map T = (t11, t12, t21, t22) at the Mach number U."""
+    return _coefficients(U * U - 1.0, gas.gamma, geom.j, x)[2]
 
 
 def interior_residuals(U, gas, geom, x, px):
@@ -67,9 +75,9 @@ def interior_residuals(U, gas, geom, x, px):
     dudt = (U * U + 1.0) / (2.0 * U**3) * dpdt
     drdt = ((g + 1.0) / mu) ** 2 * dpdt
 
-    T = t_matrix(U, gas, geom, x)
-    ux = T.t11 * px + T.t12
-    rx = T.t21 * px + T.t22
+    t11, t12, t21, t22 = t_matrix(U, gas, geom, x)
+    ux = t11 * px + t12
+    rx = t21 * px + t22
 
     r_mass = drdt + (u - U) * rx + (1.0 + rho) * ux + 2.0 * om * u * (1.0 + rho)
     r_mom = dudt + (u - U) * ux + px / (1.0 + rho)
@@ -112,53 +120,57 @@ def test_first_order_frozen_values():
     c = first_order_coefficients(1.3, GAS, omega=0.7)
     assert c.k11 == pytest.approx(-0.17841758318211073, rel=1e-14)
     assert c.k12 == pytest.approx(-0.1878588469588307, rel=1e-14)
-    weak = first_order_coefficients(1.0, GAS, omega=0.7)
-    assert weak.k11 == 0.0
-    assert weak.k12 == 0.0
+    for gamma in GAMMAS:
+        weak = first_order_coefficients(1.0, GasParams(gamma), omega=0.7)
+        assert weak.k11 == 0.0
+        assert weak.k12 == 0.0
 
 
 def test_t_matrix_frozen_values():
-    T = t_matrix(1.3, GAS, CYL, x=2.0)
-    assert T.t11 == pytest.approx(0.6036759921490592, rel=1e-14)
-    assert T.t12 == pytest.approx(-0.12451098859686953, rel=1e-14)
-    assert T.t21 == pytest.approx(0.8492827155254205, rel=1e-14)
-    assert T.t22 == pytest.approx(0.007191764274504212, rel=1e-14)
+    t11, t12, t21, t22 = t_matrix(1.3, GAS, CYL, x=2.0)
+    assert t11 == pytest.approx(0.6036759921490592, rel=1e-14)
+    assert t12 == pytest.approx(-0.12451098859686953, rel=1e-14)
+    assert t21 == pytest.approx(0.8492827155254205, rel=1e-14)
+    assert t22 == pytest.approx(0.007191764274504212, rel=1e-14)
 
 
 def test_t_matrix_weak_limit():
-    T = t_matrix(1.0, GAS, PLANAR)
-    assert (T.t11, T.t12, T.t21, T.t22) == (1.0, 0.0, 1.0, 0.0)
+    for gamma in GAMMAS:
+        assert t_matrix(1.0, GasParams(gamma), PLANAR) == (1.0, 0.0, 1.0, 0.0)
     # Approach along U -> 1 stays consistent with the exact limit.
-    T = t_matrix(1.0 + 1e-9, GAS, PLANAR)
-    assert T.t11 == pytest.approx(1.0, abs=1e-8)
-    assert T.t21 == pytest.approx(1.0, abs=1e-7)
+    t11, _, t21, _ = t_matrix(1.0 + 1e-9, GAS, PLANAR)
+    assert t11 == pytest.approx(1.0, abs=1e-8)
+    assert t21 == pytest.approx(1.0, abs=1e-7)
     # A curved front has no singularity at U = 1: T, its derivatives and the
-    # second-order coefficients are finite there and continuous as U -> 1.
+    # coefficients are finite there and continuous as U -> 1.
     for geom in (CYL, SPH):
-        for f in (t_matrix, t_matrix_derivatives, second_order_coefficients):
-            at, near = (f(U, GAS, geom, x=2.0) for U in (1.0, 1.0 + 1e-9))
-            if f is not t_matrix_derivatives:
-                at, near = astuple(at), astuple(near)
-            assert np.all(np.isfinite(at))
-            np.testing.assert_allclose(at, near, rtol=0.0, atol=1e-6)
+        at, near = (_coefficients(U * U - 1.0, GAS.gamma, geom.j, 2.0) for U in (1.0, 1.0 + 1e-9))
+        for a, b in zip(at, near):
+            assert np.all(np.isfinite(a))
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-6)
     with pytest.raises(DomainError):
-        t_matrix(0.9, GAS, PLANAR)
+        second_order_coefficients(0.9, GAS, PLANAR)
+
+
+NAN, INF, ABOVE = float("nan"), float("inf"), 1.01 * MAX_COEFFICIENT_MACH
 
 
 @pytest.mark.parametrize(
     "f, U, where",
     [
         (first_order_coefficients, U, {"omega": omega})
-        for U, omega in [(0.9, 0.5), (float("nan"), 0.5), (1.2, float("nan"))]
+        for U, omega in [(0.9, 0.5), (NAN, 0.5), (1.2, NAN), (INF, 0.5), (ABOVE, 0.5),
+                         (1.2, -0.5), (1.2, INF)]
     ]
     + [
-        (f, U, {"geom": CYL, "x": x})
-        for f in (t_matrix, t_matrix_derivatives, second_order_coefficients)
-        for U, x in [(0.9, 2.0), (float("nan"), 2.0), (1.2, 0.5), (1.2, float("nan"))]
+        (second_order_coefficients, U, {"geom": CYL, "x": x})
+        for U, x in [(INF, 2.0), (ABOVE, 2.0), (1.2, INF), (1.2, -1.0),
+                     (0.9, 2.0), (NAN, 2.0), (1.2, 0.5), (1.2, NAN)]
     ],
 )
 def test_coefficients_reject_outside_domain(f, U, where):
-    # Each check tests the accepted range, so NaN is refused like U < 1 or x < 1.
+    # Each check tests the accepted range, so NaN is refused like U < 1 or x < 1,
+    # and a Mach number above MAX_COEFFICIENT_MACH like one below 1.
     with pytest.raises(DomainError):
         f(U, GAS, **where)
 
@@ -171,17 +183,59 @@ def test_t_matrix_derivatives_match_finite_differences():
         j = int(rng.integers(0, 3))
         x = 1.5 + 8.0 * rng.random()
         gas, geom = GasParams(gamma), Geometry(j)
-        dt11, dt12_du, dt12_dx = t_matrix_derivatives(U, gas, geom, x)
+        dt11, dt12_du, dt12_dx = _coefficients(U * U - 1.0, gamma, j, x)[3]
         h = 1e-5
         plus, minus = t_matrix(U + h, gas, geom, x), t_matrix(U - h, gas, geom, x)
-        fd11 = (plus.t11 - minus.t11) / (2.0 * h)
-        fd12u = (plus.t12 - minus.t12) / (2.0 * h)
+        fd11 = (plus[0] - minus[0]) / (2.0 * h)
+        fd12u = (plus[1] - minus[1]) / (2.0 * h)
         xp, xm = t_matrix(U, gas, geom, x + h), t_matrix(U, gas, geom, x - h)
-        fd12x = (xp.t12 - xm.t12) / (2.0 * h)
+        fd12x = (xp[1] - xm[1]) / (2.0 * h)
         assert dt11 == pytest.approx(fd11, rel=1e-6)
         assert dt12_du == pytest.approx(fd12u, rel=1e-6, abs=1e-12)
         assert dt12_dx == pytest.approx(fd12x, rel=1e-6, abs=1e-12)
-    assert t_matrix_derivatives(1.0, GAS, PLANAR) == (-2.0, 0.0, 0.0)
+    for gamma in GAMMAS:
+        assert _coefficients(0.0, gamma, 0, 1.0)[3] == (-2.0, 0.0, 0.0)
+
+
+def test_public_coefficients_equal_the_kernel():
+    # Each wrapper checks its inputs once and returns the kernel's floats at
+    # m = U*U - 1, bit for bit, from the weak limit to the Mach ceiling.
+    rng = np.random.default_rng(18)
+    Us = [1.0, 1.0 + 1e-12, MAX_COEFFICIENT_MACH] + list(1.0 + 10.0 ** rng.uniform(-9, 3, 40))
+    for U in Us:
+        gamma = float(1.0 + 10.0 ** rng.uniform(-2, 1))
+        j, x = int(rng.integers(0, 3)), float(1.0 + 10.0 ** rng.uniform(-3, 3))
+        gas, m = GasParams(gamma), U * U - 1.0
+        first = first_order_coefficients(U, gas, omega=j / x)
+        assert astuple(first) == _coefficients(m, gamma, j / x, 1.0)[:2]
+        second = second_order_coefficients(U, gas, Geometry(j), x)
+        assert astuple(second) == _coefficients(m, gamma, j, x)[4]
+
+
+def _exact_weak(m, gamma):
+    """k11, k21 and eta at U^2 - 1 = m in exact rational arithmetic.
+
+    U itself is irrational; it enters eta only, as a 200-bit rational.
+    """
+    m, g = Fraction(m), Fraction(gamma)
+    mu, nu = g + 1 + (g - 1) * m, g + 1 + 2 * g * m
+    k11 = -2 * m * mu / ((1 + m) * (2 * mu + nu) + nu)
+    w = 1 + m
+    U = Fraction(math.isqrt(w.numerator * 4**200 // w.denominator), 2**200)
+    eta = mu / (2 * mu - (g + 1) * U * k11)
+    return k11, m * eta / (1 + m), eta
+
+
+def test_weak_coefficients_match_exact_rational_forms():
+    # Given m = (gamma+1)[p]/2 exactly, nothing cancels as [p] -> 0: k11, k21
+    # and eta stay within 4 ulps.  Formed from U instead, U^2 - 1 loses the
+    # digits of U - 1 (k11 was off by 5.9e-5 relative at [p] = 1e-12).
+    for gamma in GAMMAS:
+        for p in (1e-3, 1e-6, 1e-9, 1e-12):
+            m = 0.5 * (gamma + 1.0) * p
+            k11, _, _, _, (k21, _, _, _, eta) = _coefficients(m, gamma, 1, 2.0)
+            for got, exact in zip((k11, k21, eta), _exact_weak(m, gamma)):
+                assert abs(got - float(exact)) <= 4 * math.ulp(float(exact))
 
 
 def test_second_order_coefficients_frozen_values():
@@ -212,6 +266,9 @@ def test_second_order_planar_curvature_terms_vanish():
 def test_second_order_weak_limit():
     c = second_order_coefficients(1.0, GAS, PLANAR)
     assert (c.k21, c.k22, c.k23, c.k24, c.eta) == (0.0, 1.2, 0.0, 0.0, 0.5)
+    for gamma in GAMMAS:
+        c = second_order_coefficients(1.0, GasParams(gamma), PLANAR)
+        assert astuple(c) == (0.0, 0.5 * (gamma + 1.0), 0.0, 0.0, 0.5)
     near = second_order_coefficients(1.0 + 1e-9, GAS, PLANAR)
     assert near.k21 == pytest.approx(1e-9, rel=1e-5)
     assert near.k22 == pytest.approx(1.2, abs=1e-7)
