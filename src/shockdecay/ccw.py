@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, as_scalar, check_x_end,
-                   jumps_from_mach, write_csv)
+from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, _u_p_jumps, as_scalar,
+                   check_x_end, log_grid, write_csv)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
@@ -149,8 +149,9 @@ def integrate_ccw_geometries(
         raise DomainError(f"the decay rule overflows a float at U0 = {U0}, gamma = {g}")
     edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)
     phi = phi0 - phi_of(edges, g)  # int_edge^s0 f, rising from 0
-    xs = np.geomspace(1.0, x_end, n_samples)
-    targets = [t[t <= phi[-1]] for t in (geom.j * np.log(xs) for geom in geoms)]
+    xs = log_grid(1.0, x_end, n_samples)
+    log_xs = np.log(xs)
+    targets = [t[t <= phi[-1]] for t in (geom.j * log_xs for geom in geoms)]
     target = np.concatenate(targets)
     s = np.interp(target, phi, edges)
     for start in range(0, target.size, _NEWTON_SLICE):
@@ -167,8 +168,9 @@ def integrate_ccw_geometries(
         if live.size:
             raise SolverError(f"Newton iteration for U(x) did not converge in {_NEWTON_CAP} steps")
     U = np.where(target == 0.0, U0, 1.0 + np.exp(s))
-    p = np.asarray(jumps_from_mach(U, gas).p_jump)  # elementwise: one call for every geometry
-    cuts = np.cumsum([t.size for t in targets])[:-1]
-    return {geom: CcwHistory(x=xs[: U_geom.size], U=U_geom, p_jump=p_geom, variant=variant)
-            for geom, U_geom, p_geom in zip(geoms, np.split(U, cuts), np.split(p, cuts))}
+    p = _u_p_jumps(U, g)[1]  # jumps_from_mach's [p]: every U lies in [1, U0]
+    stops = np.cumsum([t.size for t in targets])
+    return {geom: CcwHistory(x=xs[: t.size], U=U[stop - t.size : stop],
+                             p_jump=p[stop - t.size : stop], variant=variant)
+            for geom, t, stop in zip(geoms, targets, stops)}
 

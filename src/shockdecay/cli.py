@@ -22,14 +22,17 @@ import sys
 import numpy as np
 
 from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw, integrate_ccw_geometries
-from .core import GasParams, Geometry, check_x_end, mach_from_p_jump, write_csv
+from .core import GasParams, Geometry, check_x_end, log_grid, mach_from_p_jump, write_csv
 from .errors import ConfigError, DomainError, ShockError
 from .transport import (
     REFERENCE_CASES,
     REFERENCE_X,
     AsymptoteConvention,
     Scenario,
+    _centred,
+    _closed_form_jumps,
     _sample_grid,
+    _slope,
     asymptotic_law,
     closed_form,
     decay_slope,
@@ -106,7 +109,7 @@ def cmd_asymptote(args):
     geom = Geometry.from_name(args.geometry)
     if not 1.0 < args.x_start < args.x_end:
         raise ConfigError("need 1 < x_start < x_end")
-    xs = np.geomspace(args.x_start, args.x_end, args.samples)
+    xs = log_grid(args.x_start, args.x_end, args.samples)
     p_asym, px_asym = asymptotic_law(xs, args.h, args.k, gas, geom)
     write_csv(args.out or sys.stdout, "x,p_asym,px_asym", (xs, p_asym, px_asym))
     if args.out:
@@ -177,7 +180,7 @@ def cmd_fit_shock(args):
             f"the grid start {x_start:.6g} must lie above the formation distance "
             f"{x_form:.6g} and below x_end = {args.x_end:g}"
         )
-    fitted = fit_shock(pulse, gas, geom, np.geomspace(x_start, args.x_end, args.samples))
+    fitted = fit_shock(pulse, gas, geom, log_grid(x_start, args.x_end, args.samples))
     reference = wngo_decay(pulse.b, gas, geom, fitted.x)
     if args.out:
         fitted.to_csv(args.out, reference=reference)
@@ -215,14 +218,6 @@ def cmd_ccw(args):
     return 0
 
 
-def _corrected_slope(x, y, geom):
-    """Decay exponent; for spherical fronts the log factor is removed first."""
-    y = np.asarray(y, dtype=float)
-    if geom.j == 2:
-        y = y * np.sqrt(np.log(x))
-    return decay_slope(x, y)
-
-
 def _attempt(pipeline, *args):
     """pipeline(*args), or the ShockError it raised."""
     try:
@@ -232,10 +227,12 @@ def _attempt(pipeline, *args):
 
 
 def _pipeline_transport(gas, geometries, h, k, x_end, out_dir):
-    """Precursor (k) and acoustic (k = 0) exponents, read from the closed form
-    on one sample grid; that is integrate_truncated's [p] wherever k >= 0."""
+    """Precursor (k) and acoustic (k = 0) exponents over one window of one sample
+    grid: closed_form's [p], evaluated on the window alone (k > 0: no breakdown)."""
     x = _sample_grid(x_end, 240)
-    window = x >= x_end / 100.0
+    x = x[x >= x_end / 100.0]
+    log_x = np.log(x)
+    X = _centred(log_x)  # shared by every row but a spherical precursor
 
     def entry(geom):
         if out_dir:
@@ -243,9 +240,10 @@ def _pipeline_transport(gas, geometries, h, k, x_end, out_dir):
                 scen = Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=x_end)
                 hist = integrate_truncated(scen, n_samples=240)
                 hist.to_csv(f"{out_dir}/transport_{branch}_{geom.name}.csv")
-        p, p_acoustic = (closed_form(x, h, kb, gas, geom)[0][window] for kb in (k, 0.0))
-        return {"precursor_exponent": _corrected_slope(x[window], p, geom),
-                "acoustic_exponent": decay_slope(x[window], p_acoustic)}
+        p, p_acoustic = (_closed_form_jumps(x, h, kb, gas, geom)[0] for kb in (k, 0.0))
+        # A spherical [p] sqrt(log x) drops the log factor; decay_slope skips its 0 at x = 1.
+        precursor = _slope(X, p) if geom.j < 2 else decay_slope(x, p * np.sqrt(log_x))
+        return {"precursor_exponent": precursor, "acoustic_exponent": _slope(X, p_acoustic)}
 
     return {geom: _attempt(entry, geom) for geom in geometries}
 
@@ -258,7 +256,7 @@ def _wngo_grid(pulse, gas, geom, x_end):
             f"x_end = {x_end} leaves no asymptotic window above 10 * formation "
             f"distance {x_form:.6g}"
         )
-    return np.geomspace(lo, x_end, 120)
+    return log_grid(lo, x_end, 120)
 
 
 def _pipeline_wngo(gas, geometries, h, x_end, out_dir):
@@ -272,8 +270,10 @@ def _pipeline_wngo(gas, geometries, h, x_end, out_dir):
                 f"{out_dir}/wngo_{geom.name}.csv",
                 reference=wngo_decay(pulse.b, gas, geom, fitted.x),
             )
+        log_x = np.log(fitted.x)  # x > 1: a spherical [u] sqrt(log x) is positive too
+        u = fitted.u_jump * np.sqrt(log_x) if geom.j == 2 else fitted.u_jump
         out[geom] = {
-            "exponent": _corrected_slope(fitted.x, fitted.u_jump, geom),
+            "exponent": _slope(_centred(log_x), u),
             "formation_distance": fitted.x_formation,
             "pulse_integral": pulse.b,
         }
@@ -310,8 +310,9 @@ def _ccw_entry(u0, geom, runs, out_dir):
             run.to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
         # Fit over the last two decades each run actually reached; a strongly
         # converging front hits the weak-limit floor well before a large x_end.
-        window = run.x >= run.x[-1] / 100.0
-        out[f"{variant.value}_exponent"] = decay_slope(run.x[window], run.p_jump[window])
+        window = run.x >= run.x[-1] / 100.0  # x = 1 alone if U hit the floor before x_1
+        X = _centred(np.log(run.x[window]))
+        out[f"{variant.value}_exponent"] = _slope(X, run.p_jump[window])
     gen, cla = (by_geom[geom] for by_geom in runs.values())
     n = min(gen.x.size, cla.x.size)
     gap = np.max(np.abs((cla.U[:n] - gen.U[:n]) / np.maximum(gen.U[:n] - 1.0, 1e-300)))

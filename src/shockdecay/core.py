@@ -114,6 +114,13 @@ def write_csv(dest, header, columns):
         dest.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def log_grid(a, b, n):
+    """np.geomspace(a, b, n) for 0 < a, b, bit for bit, without its dtype and sign handling."""
+    x = 10.0 ** np.linspace(np.log10(a), np.log10(b), n)
+    x[:1], x[1:][-1:] = a, b  # both ends exact, as np.geomspace sets them for every n
+    return x
+
+
 def _finite_from(values, lo, name, hi=np.finfo(float).max):
     """values as a float array; DomainError unless each is finite and in [lo, hi]."""
     values = np.asarray(values, dtype=float)
@@ -137,11 +144,15 @@ def _machs(mach, hi=MAX_MACH):
 def jumps_from_mach(mach, gas=GasParams()):
     """Rankine-Hugoniot jumps for a shock of Mach number ``mach`` in [1, MAX_MACH]."""
     mach = _machs(mach)
-    g = gas.gamma
-    u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)
-    p = mach * u
+    u, p = _u_p_jumps(mach, gas.gamma)
     rho = np.divide(u, mach - u, out=np.zeros_like(u), where=mach - u != 0.0)
     return JumpSet(*as_scalar(mach, u, p, rho))
+
+
+def _u_p_jumps(mach, g):
+    """jumps_from_mach's [u] and [p] of a checked Mach-number array at gamma = g, unchecked."""
+    u = 2.0 * (mach**2 - 1.0) / ((g + 1.0) * mach)
+    return u, mach * u
 
 
 def mach_from_p_jump(p_jump, gas=GasParams()):
@@ -172,11 +183,17 @@ _RAYS = (
     ),
     (np.log, np.log, np.exp),
 )
+MAX_RAY_INTEGRAL = tuple(float(ray[0](MAX_X_END)) for ray in _RAYS)
 
 
 def psi(x, geom=Geometry(0)):
     """Geometric decay factor x**(-j/2) of a weak wavelet at position x >= 1."""
-    return as_scalar(_positions(x) ** (-0.5 * geom.j))
+    return as_scalar(_psi(_positions(x), geom.j))
+
+
+def _psi(x, j):
+    """psi of a checked position array x for j = geom.j, unchecked."""
+    return x ** (-0.5 * j)
 
 
 def ray_integral(x, geom=Geometry(0)):

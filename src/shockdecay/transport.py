@@ -30,14 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _RAYS,
+    MAX_RAY_INTEGRAL,
     MAX_X_END,
     GasParams,
     Geometry,
     _machs,
     _positions,
+    _psi,
     as_scalar,
     check_x_end,
     far_field_gradient,
+    log_grid,
     psi,
     ray_integral,
     ray_integral_inverse,
@@ -132,13 +136,16 @@ def _coefficients(m, g, j, x):
     return k11, k12, (t11, t12, t21, t22), (dt11, dt12_dU, dt12_dx), (k21, k22, k23, k24, eta)
 
 
-def _checked_coefficients(U, gas, j, x):
-    """_coefficients for a Mach number U in [1, MAX_COEFFICIENT_MACH], x >= 1, j/x >= 0."""
+def _checked_coefficients(U, gas, j, x, part):
+    """_coefficients(...)[part] at U in [1, MAX_COEFFICIENT_MACH], x >= 1, j/x >= 0, all finite."""
     x = float(_positions(x))
     if not 0.0 <= j / x < math.inf:
         raise DomainError("curvature j/x must be finite and >= 0")
     U = float(_machs(U, MAX_COEFFICIENT_MACH))
-    return _coefficients(U * U - 1.0, float(gas.gamma), j, x)
+    out = _coefficients(U * U - 1.0, float(gas.gamma), j, x)[part]
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"a coefficient overflows a float at U = {U}, j/x = {j / x}")
+    return out
 
 
 def first_order_coefficients(U, gas=GasParams(), omega=0.0):
@@ -147,7 +154,7 @@ def first_order_coefficients(U, gas=GasParams(), omega=0.0):
     U: shock Mach number in [1, MAX_COEFFICIENT_MACH]; omega: front
     curvature j/x (>= 0).
     """
-    return FirstOrderCoefficients(*_checked_coefficients(U, gas, omega, 1.0)[:2])
+    return FirstOrderCoefficients(*_checked_coefficients(U, gas, omega, 1.0, slice(2)))
 
 
 def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
@@ -158,7 +165,7 @@ def second_order_coefficients(U, gas=GasParams(), geom=Geometry(0), x=1.0):
     which stays finite as U -> 1.  k23 is the printed one (README, "Known
     deviations").
     """
-    return SecondOrderCoefficients(*_checked_coefficients(U, gas, geom.j, x)[4])
+    return SecondOrderCoefficients(*_checked_coefficients(U, gas, geom.j, x, 4))
 
 
 class AsymptoteConvention(enum.Enum):
@@ -244,16 +251,14 @@ def _finite_jumps(h, k):
         raise DomainError(f"initial gradient jump k must be finite, got {k}")
 
 
-def _closed_form(x, h, k, gas, geom, ray):
-    """([p], [p_x]) of the truncated system for the ray integral ``ray``,
-    or None once 1 + (gamma+1) k ray(x)/2 reaches zero."""
-    _finite_jumps(h, k)
-    x = np.asarray(x, dtype=float)
-    I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * ray(x, geom)
+def _closed_form_jumps(x, h, k, gas, geom, leading=False):
+    """([p], [p_x]) of the truncated system at a checked position array x, with
+    the full (or leading) ray integral; None once 1 + (gamma+1) k J(x)/2 reaches zero."""
+    I = 1.0 + 0.5 * (gas.gamma + 1.0) * k * _RAYS[geom.j][leading](x)
     if np.any(I <= 0.0):
         return None
-    shape = psi(x, geom)
-    return as_scalar(h / np.sqrt(I) * shape, k / I * shape)
+    shape = _psi(x, geom.j)
+    return h / np.sqrt(I) * shape, k / I * shape
 
 
 def closed_form(x, h, k, gas=GasParams(), geom=Geometry(0)):
@@ -261,21 +266,23 @@ def closed_form(x, h, k, gas=GasParams(), geom=Geometry(0)):
 
     Raises BreakdownError once 1 + (gamma+1) k J(x)/2 reaches zero.
     """
-    out = _closed_form(x, h, k, gas, geom, ray_integral)
+    _finite_jumps(h, k)
+    out = _closed_form_jumps(_positions(x), h, k, gas, geom)
     if out is None:
         raise BreakdownError(
             f"gradient jump blew up before x = {np.max(x)}; "
             f"breakdown at x* = {breakdown_distance(h, k, gas, geom)}"
         )
-    return out
+    return as_scalar(*out)
 
 
 def leading_order_reference(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Closed form with the ray integral replaced by its leading part."""
-    out = _closed_form(x, h, k, gas, geom, ray_integral_leading)
+    _finite_jumps(h, k)
+    out = _closed_form_jumps(_positions(x), h, k, gas, geom, leading=True)
     if out is None:
         raise BreakdownError("leading-order reference ceased to exist")
-    return out
+    return as_scalar(*out)
 
 
 def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
@@ -305,7 +312,7 @@ def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
     if k >= 0.0:
         return None
     J_star = -2.0 / ((gas.gamma + 1.0) * k)
-    if not J_star <= ray_integral(MAX_X_END, geom):
+    if not J_star <= MAX_RAY_INTEGRAL[geom.j]:
         raise DomainError(f"the gradient jump blows up beyond x = {MAX_X_END:g}")
     return ray_integral_inverse(J_star, geom)
 
@@ -356,7 +363,7 @@ REFERENCE_CASES = (
 
 def _sample_grid(x_end, n_samples):
     """Log-spaced samples on [1, x_end] merged with the reference abscissae."""
-    xs = np.geomspace(1.0, x_end, n_samples)
+    xs = log_grid(1.0, x_end, n_samples)
     marks = REFERENCE_X[REFERENCE_X <= x_end]
     return np.unique(np.concatenate(([1.0], xs, marks, [x_end])))
 
@@ -370,7 +377,7 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     position x* with I(x*) = 0 is recorded as breakdown.
     """
     xs = _sample_grid(scen.x_end, n_samples)
-    # I(x) exactly as _closed_form evaluates it, so no kept sample raises.
+    # I(x) exactly as _closed_form_jumps evaluates it, so no kept sample raises.
     I = 1.0 + 0.5 * (scen.gas.gamma + 1.0) * scen.k * ray_integral(xs, scen.geom)
     x = xs[I > 0.0]
     p, px = closed_form(x, scen.h, scen.k, scen.gas, scen.geom)
@@ -405,8 +412,17 @@ def decay_slope(x, y):
     x = _positions(x)
     y = np.asarray(y, dtype=float)
     keep = (y > 0.0) & np.isfinite(y)
-    if keep.sum() < 2:
+    return _slope(_centred(np.log(x[keep])), y[keep])
+
+
+def _slope(X, y):
+    """decay_slope of y against centred log positions X; unchecked: y > 0, finite."""
+    return float(np.dot(X, _centred(np.log(y))) / np.dot(X, X))
+
+
+def _centred(v):
+    """v - v.mean() of a slope fit's samples, bit for bit (v.sum() / v.size skips
+    np.mean's dispatch); DomainError below the two samples a slope needs."""
+    if v.size < 2:
         raise DomainError("need at least two positive samples to fit a slope")
-    X, Y = np.log(x[keep]), np.log(y[keep])
-    X -= X.mean()
-    return float(np.dot(X, Y - Y.mean()) / np.dot(X, X))
+    return v - v.sum() / v.size

@@ -25,16 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _RAYS,
+    MAX_RAY_INTEGRAL,
     MAX_X_END,
     GasParams,
     Geometry,
+    _psi,
     as_scalar,
     far_field_gradient,
     gauss_legendre,
     psi,
     ray_integral,
     ray_integral_inverse,
-    ray_integral_leading,
     write_csv,
 )
 from .errors import DomainError, FittingError, VacuumError
@@ -258,7 +260,7 @@ def formation_distance(pulse, gas=GasParams(), geom=Geometry(0)):
             "pulse head is not compressive (v'(0) <= 0); no lead shock forms"
         )
     J_form = 2.0 / ((gas.gamma + 1.0) * pulse.vdot0)
-    if not J_form <= ray_integral(MAX_X_END, geom):
+    if not J_form <= MAX_RAY_INTEGRAL[geom.j]:
         raise DomainError(f"the lead shock forms beyond x = {MAX_X_END:g}")
     return ray_integral_inverse(J_form, geom)
 
@@ -294,12 +296,12 @@ class FittedShock:
 
 
 def _gradient_shape(x, s, tau0, geom):
-    """K(x) + (x - s + tau0) K'(x) of the gradient-jump expression.
+    """K(x) + (x - s + tau0) K'(x) of the gradient-jump expression at checked x.
 
     K = psi/J_lead is the far-field shape; J_lead' = psi gives
     K' = -K (j/(2x) + K).
     """
-    K = psi(x, geom) / ray_integral_leading(x, geom)
+    K = _psi(x, geom.j) / _RAYS[geom.j][1](x)
     dK = -K * (0.5 * geom.j / x + K)
     return K + (x - s + tau0) * dK
 
@@ -356,16 +358,16 @@ def fit_shock_geometries(pulse, gas, grids):
     taus = _equal_area_roots(pulse, 0.25 * (g + 1.0), x, np.concatenate([c[3] for c in checked]))
     if np.any(taus == tau0):  # the limiting wavelet, where v = 0: [u] would read 0
         raise FittingError(f"pulse too strong for tau_minus to be resolved below tau0 = {tau0}")
-    taus = np.split(taus, np.cumsum([c[1].size for c in checked])[:-1])
-    out = {}
-    for (geom, x_grid, x_form, J), tau in zip(checked, taus):
+    out, stop = {}, 0
+    for geom, x_grid, x_form, J in checked:
+        tau, stop = taus[stop : stop + x_grid.size], stop + x_grid.size
         v_tau = pulse.v(tau)
         s = tau + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J  # wavelet_time, reusing J, v
         ux = 2.0 / (g + 1.0) * _gradient_shape(x_grid, s, tau0, geom)
         out[geom] = FittedShock(
             x=x_grid,
             tau_minus=tau,
-            u_jump=v_tau * psi(x_grid, geom),
+            u_jump=v_tau * _psi(x_grid, geom.j),
             ux_jump=np.where(x_grid >= 10.0 * x_form, ux, np.nan),
             shock_time=s,
             tau0=tau0,
@@ -472,7 +474,7 @@ def simple_wave_u(rhs, gas=GasParams()):
     Safeguarded Newton iteration from the inverse series u = r - r^2 + (3+a)/2 r^3,
     a = (gamma-1)/2, or where that leaves (0, r] from the root of u (1 + u) = r
     (an upper bound for gamma <= 3); converged to |residual| < 1e-13 max(1, rhs).
-    A power that overflows bisects down; a residual above rhs steps in log u.
+    A power that overflows bisects down in log u; a residual above rhs steps in log u.
     """
     if not 0.0 <= rhs < math.inf:
         raise DomainError("rhs must be finite and >= 0 (the expansive branch is out of scope)")
@@ -486,15 +488,15 @@ def simple_wave_u(rhs, gas=GasParams()):
     # above rhs = 1 it is relative, as the residual rounds to ~1e-16 rhs there.
     tol = 0.5 * ROOT_RESIDUAL_TOL * max(1.0, r)
     lo, hi = 0.0, r  # the map grows at least linearly, so the root is <= rhs
-    u = r - r * r + 0.5 * (3.0 + a) * r**3
+    u = r - r * r + 0.5 * (3.0 + a) * r**3 if r < 1.0 else math.inf  # > r from r = 2/3 on
     if not 0.0 < u <= r:
         u = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r))
     for _ in range(100):
         s = 1.0 + a * u
         try:
             p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s
-        except OverflowError:  # an infinite residual: the root lies below u
-            hi, u = u, 0.5 * (lo + u)
+        except OverflowError:  # an infinite residual: the root lies in [1, u), as map(1) < e
+            hi, u = u, math.sqrt(max(lo, 1.0)) * math.sqrt(u)
             continue
         res = u * s * p - r
         if abs(res) < tol:

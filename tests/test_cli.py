@@ -32,6 +32,7 @@ from shockdecay import (
     wngo_decay,
 )
 from shockdecay.cli import main
+from shockdecay.errors import ShockError
 from shockdecay.transport import (CSV_HEADER, Scenario, breakdown_distance, decay_slope,
                                   integrate_truncated)
 
@@ -500,27 +501,82 @@ def test_compare_methods_csvs_match_single_geometry_calls(gamma, tmp_path):
     assert len(list(out_dir.iterdir())) == 15
 
 
+def _corrected_slope(x, y, geom):
+    """decay_slope, with a spherical front's log factor removed first."""
+    return decay_slope(x, y * np.sqrt(np.log(x)) if geom.j == 2 else y)
+
+
 @pytest.mark.parametrize("h, k", [(0.05, 1.0), (1e-3, 10.0), (0.1, 1e-3)])
 @pytest.mark.parametrize("gamma", [1.1, 1.4, 5.0 / 3.0])
 def test_compare_methods_transport_exponents_match_histories(gamma, h, k, tmp_path):
-    # The report reads [p] from the closed form on one shared grid; its
-    # exponents must equal, bit for bit, the fits over integrate_truncated's
-    # histories of both branches.
+    # The report fits its exponents with one kernel over windows it builds
+    # itself; they must equal, bit for bit, decay_slope over the library's
+    # histories: integrate_truncated's for both transport branches, the
+    # equal-area fit's and both CCW rules' on the same windows.
     path, gas, x_end = tmp_path / "report.json", GasParams(gamma), 1e12
     assert main(["compare-methods", "--gamma", repr(gamma), "--h", repr(h), "--k", repr(k),
                  "--report", str(path)]) in (0, 4)
     report = json.loads(path.read_text())
+    pulse, U0 = BoundaryPulse.half_sine(h, 1.0), mach_from_p_jump(h, gas)
     for geom in map(Geometry, (0, 1, 2)):
+        entry = report["geometries"][geom.name]
         hist, acoustic = (
             integrate_truncated(Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=x_end),
                                 n_samples=240)
             for kb in (k, 0.0)
         )
         window = hist.x >= x_end / 100.0
-        assert report["geometries"][geom.name]["transport"] == {
-            "precursor_exponent": cli._corrected_slope(hist.x[window], hist.p_jump[window], geom),
+        assert entry["transport"] == {
+            "precursor_exponent": _corrected_slope(hist.x[window], hist.p_jump[window], geom),
             "acoustic_exponent": decay_slope(acoustic.x[window], acoustic.p_jump[window]),
         }
+        try:
+            lo = max(10.0 * formation_distance(pulse, gas, geom), x_end / 100.0)
+        except ShockError as exc:
+            assert entry["wngo"] == {"status": "failed", "error": str(exc)}
+        else:
+            fitted = fit_shock(pulse, gas, geom, np.geomspace(lo, x_end, 120))
+            assert entry["wngo"]["exponent"] == _corrected_slope(fitted.x, fitted.u_jump, geom)
+        for variant in CcwVariant:
+            run = integrate_ccw(U0, gas, geom, x_end, variant, n_samples=240)
+            window = run.x >= run.x[-1] / 100.0
+            assert entry["ccw"][f"{variant.value}_exponent"] == decay_slope(
+                run.x[window], run.p_jump[window])
+
+
+def test_compare_methods_spherical_window_from_x_equal_one(tmp_path):
+    # At x_end <= 100 the transport window starts at x = 1, where the
+    # spherical [p] sqrt(log x) is 0; the report skips that sample as
+    # decay_slope does, with no warning.
+    path, gas, x_end = tmp_path / "report.json", GasParams(1.4), 50.0
+    assert main(["compare-methods", "--geometry", "spherical", "--x-end", repr(x_end),
+                 "--report", str(path)]) in (0, 4)
+    hist = integrate_truncated(Scenario(gas=gas, geom=Geometry(2), h=0.05, k=1.0, x_end=x_end),
+                               n_samples=240)
+    window = hist.x >= x_end / 100.0
+    assert hist.x[window][0] == 1.0
+    report = json.loads(path.read_text())
+    assert report["geometries"]["spherical"]["transport"]["precursor_exponent"] == (
+        _corrected_slope(hist.x[window], hist.p_jump[window], Geometry(2)))
+
+
+@pytest.mark.parametrize("geometry", ["cylindrical", "spherical"])
+def test_compare_methods_ccw_window_of_one_sample_fails_its_entry(geometry, tmp_path):
+    # Just above the weak-limit floor a curved front reaches the floor
+    # before the second CCW sample, so its fit window holds x = 1 alone:
+    # that ccw entry fails as decay_slope would, the run is partial, and no
+    # warning escapes (pytest turns warnings into errors here).
+    path, gas, h = tmp_path / "report.json", GasParams(1.4), 1.7e-10
+    for variant in CcwVariant:
+        run = integrate_ccw(mach_from_p_jump(h, gas), gas, Geometry.from_name(geometry), 1e12,
+                            variant, n_samples=240)
+        assert run.x.tolist() == [1.0]
+    assert main(["compare-methods", "--geometry", geometry, "--h", repr(h),
+                 "--report", str(path)]) == 4
+    report = json.loads(path.read_text())
+    assert report["status"] == "partial"
+    assert report["geometries"][geometry]["ccw"] == {
+        "status": "failed", "error": "need at least two positive samples to fit a slope"}
 
 
 @pytest.mark.parametrize("out_dir", [False, True])

@@ -21,6 +21,8 @@ from shockdecay import (
     ray_integral_inverse,
     ray_integral_leading,
 )
+from shockdecay.core import log_grid
+from shockdecay.wavefront import BoundaryPulse, formation_distance
 
 GAS = GasParams(1.4)
 
@@ -184,3 +186,28 @@ def test_ray_integral_leading_offsets():
     np.testing.assert_allclose(
         ray_integral_leading(x, Geometry(2)), ray_integral(x, Geometry(2))
     )
+
+
+def test_log_grid_is_geomspace_bit_for_bit():
+    # numpy's geomspace may change between releases; the grid helper must
+    # follow it to the last bit, on seeded draws and on the exact grids
+    # that compare-methods builds: the transport and CCW sample grids
+    # (1, x_end, 240) and the equal-area fit's (max(10 x_form, x_end/100), x_end, 120).
+    rng = np.random.default_rng(2024)
+    cases = [(start, start * 10.0 ** rng.uniform(0.0, 12.0), int(n))
+             for start, n in zip(10.0 ** rng.uniform(0.0, 6.0, 400), rng.integers(2, 2001, 400))]
+    cases += [(1.0, 2.0 ** rng.uniform(0.0, 40.0), n) for n in (2, 3, 2000)]
+    for x_end in (30.0, 1e3, 1e4, 1e12, 1e18):
+        cases.append((1.0, x_end, 240))
+        for gamma in (1.1, 1.4, 3.0):
+            for h in (1e-4, 0.03, 0.05, 0.07, 0.1):
+                for j in (0, 1, 2):
+                    try:
+                        x_form = formation_distance(BoundaryPulse.half_sine(h, 1.0),
+                                                    GasParams(gamma), Geometry(j))
+                    except DomainError:  # forms beyond MAX_X_END: no grid
+                        continue
+                    cases.append((max(10.0 * x_form, x_end / 100.0), x_end, 120))
+    for start, stop, n in cases:
+        assert log_grid(start, stop, n).tobytes() == np.geomspace(start, stop, n).tobytes(), (
+            start, stop, n)

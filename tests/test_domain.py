@@ -8,6 +8,7 @@ absent: it skips samples that are not positive and finite, by design.
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -102,6 +103,10 @@ LARGE_FINITE = {
     "second_order_coefficients.above_ceiling": lambda: sd.second_order_coefficients(
         1.01 * MAX_COEFFICIENT_MACH, GAS, CYL, 2.0
     ),
+    "first_order_coefficients.omega_k12": lambda: sd.first_order_coefficients(1.2, GAS, 1e308),
+    "second_order_coefficients.gamma_k23": lambda: sd.second_order_coefficients(
+        1e30, sd.GasParams(1e4), CYL, 2.0
+    ),
 }
 
 
@@ -109,6 +114,21 @@ LARGE_FINITE = {
 def test_large_finite_input_raises_domain_error(name):
     with pytest.raises(sd.DomainError):
         LARGE_FINITE[name]()
+
+
+# Large finite inputs with a finite answer: that answer, and no warning on the way.
+@pytest.mark.parametrize("rhs", [1e200, 1e300])
+def test_simple_wave_u_answers_large_rhs(rhs):
+    # The root of u (1 + a u)^5 = rhs, a = (gamma-1)/2 at gamma = 1.4, by
+    # Newton's method in 50 digits from the returned u.
+    u = sd.simple_wave_u(rhs, GAS)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, root = Decimal(0.5 * (GAS.gamma - 1.0)), Decimal(u)
+        for _ in range(5):
+            s = 1 + a * root
+            root -= (root * s**5 - Decimal(rhs)) / (s**4 * (1 + 6 * a * root))
+    assert abs(u - float(root)) <= 1e-13 * float(root)
 
 
 @pytest.mark.parametrize("gamma", [1.01, 1.4, 5.0 / 3.0, 3.0, 20.0])
