@@ -41,8 +41,8 @@ from .transport import (
 )
 from .wavefront import (
     BoundaryPulse,
+    _fit_checked,
     fit_shock,
-    fit_shock_geometries,
     formation_distance,
     simple_wave_u,
     wngo_decay,
@@ -249,6 +249,7 @@ def _pipeline_transport(gas, geometries, h, k, x_end, out_dir):
 
 
 def _wngo_grid(pulse, gas, geom, x_end):
+    """The fit's grid in geometry geom, with the formation distance it starts above."""
     x_form = formation_distance(pulse, gas, geom)
     lo = max(10.0 * x_form, x_end / 100.0)
     if lo >= x_end / 2.0:
@@ -256,15 +257,15 @@ def _wngo_grid(pulse, gas, geom, x_end):
             f"x_end = {x_end} leaves no asymptotic window above 10 * formation "
             f"distance {x_form:.6g}"
         )
-    return log_grid(lo, x_end, 120)
+    return log_grid(lo, x_end, 120), x_form
 
 
 def _pipeline_wngo(gas, geometries, h, x_end, out_dir):
     """The half-sine pulse fitted in every geometry by one equal-area solve."""
     pulse = BoundaryPulse.half_sine(h, 1.0)
     out = {geom: _attempt(_wngo_grid, pulse, gas, geom, x_end) for geom in geometries}
-    grids = {geom: x for geom, x in out.items() if not isinstance(x, ShockError)}
-    for geom, fitted in fit_shock_geometries(pulse, gas, grids).items():
+    grids = {geom: grid for geom, grid in out.items() if not isinstance(grid, ShockError)}
+    for geom, fitted in _fit_checked(pulse, gas, grids).items():  # increasing, above 10 x_form
         if out_dir:
             fitted.to_csv(
                 f"{out_dir}/wngo_{geom.name}.csv",

@@ -25,6 +25,9 @@ MAX_X_END = 1e18
 # Largest accepted shock Mach number (inclusive): the largest CCW start that
 # is checked, and U^2 and 2 gamma U^2 stay finite there for gamma < 89.
 MAX_MACH = 1e153
+# Largest accepted gamma (inclusive): 2 gamma MAX_MACH^2 stays finite below
+# gamma = 89, and the coefficient kernel is right at its ceiling to about 210.
+MAX_GAMMA = 50.0
 
 
 def check_x_end(x_end):
@@ -40,8 +43,8 @@ class GasParams:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not 1.0 < self.gamma < np.inf:
-            raise DomainError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma <= MAX_GAMMA:
+            raise DomainError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma}")
 
 
 @dataclass(frozen=True)

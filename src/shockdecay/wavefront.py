@@ -36,7 +36,6 @@ from .core import (
     gauss_legendre,
     psi,
     ray_integral,
-    ray_integral_inverse,
     write_csv,
 )
 from .errors import DomainError, FittingError, VacuumError
@@ -262,7 +261,8 @@ def formation_distance(pulse, gas=GasParams(), geom=Geometry(0)):
     J_form = 2.0 / ((gas.gamma + 1.0) * pulse.vdot0)
     if not J_form <= MAX_RAY_INTEGRAL[geom.j]:
         raise DomainError(f"the lead shock forms beyond x = {MAX_X_END:g}")
-    return ray_integral_inverse(J_form, geom)
+    # J_form is in [0, MAX_RAY_INTEGRAL]: x is in [1, MAX_X_END], unchecked as no check could fire.
+    return float(_RAYS[geom.j][2](np.array(J_form)))
 
 
 FITTED_CSV_HEADER = "x,tau_minus,u_jump,ux_jump,shock_time"
@@ -309,22 +309,23 @@ def _gradient_shape(x, s, tau0, geom):
 def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     """Fit the lead shock at each grid position.
 
-    x_grid must be strictly increasing with x_grid[0] > 1.  With
-    B(tau) = int_0^tau v, the equal-area rule is F = (gamma+1)/4 v^2 J - B = 0.
-    Its smallest root tau_-(x) is bracketed by 4 ulps plus 1e-12 around its
-    closed form for a half-sine or ramp pulse, where F(lo) > 0 >= F(hi) holds;
-    else (table and custom pulses, nearly double roots near formation) by
-    the first cell of a tau scan where the running maximum of R(tau) :=
-    4 B/((gamma+1) v^2) reaches J(x), as F <= 0 exactly when J <= R.  All
-    brackets, with F at their ends, are narrowed together by Illinois false
-    position (Dowell & Jarratt 1971).  Each step lands at least four ulps
-    inside its bracket, so a one-sided approach crosses the root; it is the
-    midpoint where F(lo) = 0, where it is not finite, where the bracket
-    spans at most two margins, and after 40 passes.  Every bracket closes to
-    adjacent doubles: F(tau_-) <= 0 < F at the double below, and drops out
-    of later passes.  The scan is uniform with spacing tau0/399 and holds
-    the pulse knots, where a table pulse puts its sharp features; a peak of
-    R narrower than the spacing and away from every knot can still be missed.
+    x_grid must be finite and strictly increasing with x_grid[0] > 1.  With
+    B(tau) = int_0^tau v, the equal-area rule is F = (gamma+1)/4 v^2 J - B = 0;
+    tau_-(x) is its smallest root to adjacent doubles, F(tau_-) <= 0 < F at the
+    double below.  A half-sine or ramp pulse reads it off the 9, then the 257,
+    doubles nearest its closed-form root: the first with F <= 0 where F > 0 on
+    every one below.  Rows left (near formation, where the root is nearly
+    double) and table and custom pulses take a bracket: 4 ulps plus 1e-12
+    around the closed form where F(lo) > 0 >= F(hi) holds, else the first cell
+    of a tau scan where the running maximum of R(tau) := 4 B/((gamma+1) v^2)
+    reaches J(x), as F <= 0 exactly when J <= R.  Illinois false position
+    (Dowell & Jarratt 1971) narrows all brackets together, each step at least
+    four ulps inside, so a one-sided approach crosses the root; it is the
+    midpoint where F(lo) = 0, where it is not finite, where the bracket spans
+    at most two margins, and after 40 passes.  A closed bracket drops out of
+    later passes.  The scan is uniform with spacing tau0/399 and holds the
+    pulse knots, where a table pulse puts its sharp features; a peak of R
+    narrower than the spacing and away from every knot can still be missed.
     """
     return fit_shock_geometries(pulse, gas, {geom: x_grid})[geom]
 
@@ -332,34 +333,39 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
 def fit_shock_geometries(pulse, gas, grids):
     """fit_shock for each geometry of ``grids``, a {Geometry: x_grid} dict.
 
-    Geometry enters the root search only through J(x), so one bracketing
-    and one Illinois iteration serve every geometry.  Each fit is fit_shock's
-    to the last bit.  Raises what fit_shock raises for the first geometry it
-    refuses.
+    Geometry enters the root search only through J(x), so one root search
+    serves every geometry.  Each fit is fit_shock's to the last bit.  Raises
+    what fit_shock raises for the first geometry it refuses.
     """
-    checked = []
+    checked = {}
     for geom, x_grid in grids.items():
         x_grid = np.asarray(x_grid, dtype=float)
         if x_grid.ndim != 1 or x_grid.size == 0:
             raise DomainError("x_grid must be a one-dimensional, nonempty array")
-        if x_grid[0] <= 1.0 or np.any(np.diff(x_grid) <= 0.0):
-            raise DomainError("x_grid must be strictly increasing with x_grid[0] > 1")
+        if not (1.0 < x_grid[0] and x_grid[-1] < math.inf and np.all(np.diff(x_grid) > 0.0)):
+            raise DomainError("x_grid must be finite, strictly increasing, with x_grid[0] > 1")
         x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
         if x_grid[0] <= x_form:
             raise FittingError(
                 f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
                 f"at x = {x_form}"
             )
-        checked.append((geom, x_grid, x_form, ray_integral(x_grid, geom)))
+        checked[geom] = (x_grid, x_form)
+    return _fit_checked(pulse, gas, checked)
+
+
+def _fit_checked(pulse, gas, checked):
+    """fit_shock_geometries of {Geometry: (x_grid, x_form)}, each grid checked as there."""
     if not checked:
         return {}
     g, tau0 = gas.gamma, pulse.tau0
-    x = np.concatenate([c[1] for c in checked])
-    taus = _equal_area_roots(pulse, 0.25 * (g + 1.0), x, np.concatenate([c[3] for c in checked]))
+    Js = [_RAYS[geom.j][0](x_grid) for geom, (x_grid, _) in checked.items()]  # x_grid > 1
+    x = np.concatenate([x_grid for x_grid, _ in checked.values()])
+    taus = _equal_area_roots(pulse, 0.25 * (g + 1.0), x, np.concatenate(Js))
     if np.any(taus == tau0):  # the limiting wavelet, where v = 0: [u] would read 0
         raise FittingError(f"pulse too strong for tau_minus to be resolved below tau0 = {tau0}")
     out, stop = {}, 0
-    for geom, x_grid, x_form, J in checked:
+    for (geom, (x_grid, x_form)), J in zip(checked.items(), Js):
         tau, stop = taus[stop : stop + x_grid.size], stop + x_grid.size
         v_tau = pulse.v(tau)
         s = tau + (x_grid - 1.0) - 0.5 * (g + 1.0) * v_tau * J  # wavelet_time, reusing J, v
@@ -399,18 +405,32 @@ def _equal_area_roots(pulse, c, x, J):
     def F(t, J):  # t lies in [0, tau0], so the unchecked integral stands in for v_integral
         return c * pulse.v(t) ** 2 * J - (pulse._integral(t) - pulse._b0)
 
+    taus, live = np.empty_like(J), np.arange(J.size)  # the roots, and the entries still open
     lo, hi, f_lo, f_hi = np.full((4, J.size), np.nan)
-    if pulse._root is not None:  # 4 ulps plus 1e-12 either side of the closed form
+    if pulse._root is not None:
         tau = pulse._root(c * J)
+        # The 2K+1 doubles nearest the closed form, by steps on the bit pattern (it orders
+        # doubles >= 0); tau_- is the first with F <= 0 where F > 0 on every one below.
+        bits = np.fmin(np.fmax(tau, 0.0), pulse.tau0).view(np.int64)  # NaN reads 0
+        top = np.array(pulse.tau0).view(np.int64)
+        for K in (4, 128):
+            t = np.clip(bits[live, None] + np.arange(-K, K + 1), 0, top).view(float)
+            f = F(t, J[live, None])
+            first = np.argmin(f > 0.0, axis=1)
+            closed = (first > 0) & (f[np.arange(live.size), first] <= 0.0)
+            taus[live[closed]] = t[closed, first[closed]]
+            live = live[~closed]
+            if not live.size:
+                return taus
+        tau = tau[live]  # else a bracket of 4 ulps plus 1e-12 either side
         d = 4.0 * np.spacing(tau) + 1e-12 * tau
         lo, hi = np.clip(tau - d, 0.0, pulse.tau0), np.clip(tau + d, 0.0, pulse.tau0)
-        f_lo, f_hi = np.split(F(np.concatenate((lo, hi)), np.concatenate((J, J))), 2)
+        f_lo, f_hi = np.split(F(np.concatenate((lo, hi)), np.tile(J[live], 2)), 2)
+    x, Jl = x[live], J[live]  # the brackets still open, and their J
     scan = ~((f_lo > 0.0) & (f_hi <= 0.0))  # brackets to take from the tau scan
     if scan.any():
-        lo[scan], hi[scan], f_lo[scan], f_hi[scan] = _scan_brackets(pulse, c, x[scan], J[scan])
-    taus = np.empty_like(J)
-    live, Jl = np.arange(J.size), J  # brackets still open, and their J
-    above = below = np.zeros(J.size, dtype=bool)  # which end moved last pass
+        lo[scan], hi[scan], f_lo[scan], f_hi[scan] = _scan_brackets(pulse, c, x[scan], Jl[scan])
+    above = below = np.zeros(live.size, dtype=bool)  # which end moved last pass
     for n in itertools.count():
         mid = 0.5 * (lo + hi)
         split = (lo < mid) & (mid < hi)
@@ -471,10 +491,12 @@ def ruw_state(u, gas=GasParams()):
 def simple_wave_u(rhs, gas=GasParams()):
     """Invert u (1 + (gamma-1)u/2)^(2/(gamma-1)) = rhs for u >= 0.
 
-    Safeguarded Newton iteration from the inverse series u = r - r^2 + (3+a)/2 r^3,
-    a = (gamma-1)/2, or where that leaves (0, r] from the root of u (1 + u) = r
-    (an upper bound for gamma <= 3); converged to |residual| < 1e-13 max(1, rhs).
-    A power that overflows bisects down in log u; a residual above rhs steps in log u.
+    Below rhs = 1: safeguarded Newton iteration from the inverse series
+    u = r - r^2 + (3+a)/2 r^3, a = (gamma-1)/2, or where that leaves (0, r] from
+    the root of u (1 + u) = r, to |residual| < 1e-13.  From rhs = 1 on: Newton in
+    log u on G = log(map(u)/rhs), convex in log u, from u = rhs, with one more step
+    once |G| < 8 eps (1 + log rhs).  G rounds to ~eps log rhs, so the relative
+    residual is only held below 4 eps (1 + log rhs), 6.3e-13 at the largest double.
     """
     if not 0.0 <= rhs < math.inf:
         raise DomainError("rhs must be finite and >= 0 (the expansive branch is out of scope)")
@@ -483,21 +505,26 @@ def simple_wave_u(rhs, gas=GasParams()):
         return 0.0
     g = float(gas.gamma)  # a float overflows to inf quietly; a numpy scalar warns
     a = 0.5 * (g - 1.0)
+    if r >= 1.0:
+        tol = 8.0 * math.ulp(1.0) * (1.0 + math.log(r))
+        u = r  # map(u) >= u, so the root is <= rhs
+        for _ in range(100):
+            au = a * u  # where a u overflows, log(1 + a u) = log(a u) to the last bit
+            L = math.log1p(au) if au < math.inf else math.log(a) + math.log(u)
+            G = math.log(u / r) + L / a
+            u *= math.exp(-G / (1.0 + 1.0 / (a + 1.0 / u)))  # d G / d log u = 1 + u/(1 + a u)
+            if abs(G) < tol:
+                return u
+        raise FittingError(f"inversion failed to reach relative residual {tol:.3g}")
     e1 = (3.0 - g) / (g - 1.0)  # 2/(gamma-1) - 1
-    # Half the tolerance leaves room for a caller's residual in another rounding;
-    # above rhs = 1 it is relative, as the residual rounds to ~1e-16 rhs there.
-    tol = 0.5 * ROOT_RESIDUAL_TOL * max(1.0, r)
+    tol = 0.5 * ROOT_RESIDUAL_TOL  # half: room for a caller's residual in another rounding
     lo, hi = 0.0, r  # the map grows at least linearly, so the root is <= rhs
-    u = r - r * r + 0.5 * (3.0 + a) * r**3 if r < 1.0 else math.inf  # > r from r = 2/3 on
+    u = r - r * r + 0.5 * (3.0 + a) * r**3  # > r from r = 2/3 on
     if not 0.0 < u <= r:
         u = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r))
     for _ in range(100):
         s = 1.0 + a * u
-        try:
-            p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s
-        except OverflowError:  # an infinite residual: the root lies in [1, u), as map(1) < e
-            hi, u = u, math.sqrt(max(lo, 1.0)) * math.sqrt(u)
-            continue
+        p = math.exp(e1 * math.log1p(a * u))  # s^(e1), without the rounding of s; <= e for u < 1
         res = u * s * p - r
         if abs(res) < tol:
             return u

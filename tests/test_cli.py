@@ -32,6 +32,7 @@ from shockdecay import (
     wngo_decay,
 )
 from shockdecay.cli import main
+from shockdecay.core import MAX_GAMMA
 from shockdecay.errors import ShockError
 from shockdecay.transport import (CSV_HEADER, Scenario, breakdown_distance, decay_slope,
                                   integrate_truncated)
@@ -123,6 +124,16 @@ def test_evolve_rejects_bad_flags(tmp_path):
     assert main(["evolve", "--samples", "1"]) == 2
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["evolve", "--out", str(missing_dir)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["evolve", "asymptote", "table1", "compare-methods", "fit-shock", "ccw"]
+)
+def test_gamma_above_its_bound_is_bad_input(command, capsys):
+    # core.MAX_GAMMA bounds gamma where 2 gamma MAX_MACH^2 stays finite.
+    assert main([command, "--gamma", "1e308"]) == 2
+    assert main([command, "--gamma", str(2.0 * MAX_GAMMA)]) == 2
+    assert capsys.readouterr().err.startswith("error: gamma must lie in (1, 50]")
 
 
 def test_asymptote_requires_growth_data(tmp_path):

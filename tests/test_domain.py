@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import shockdecay as sd
-from shockdecay.core import MAX_MACH
+from shockdecay.core import MAX_GAMMA, MAX_MACH
 from shockdecay.transport import MAX_COEFFICIENT_MACH
 
 GAS, CYL = sd.GasParams(1.4), sd.Geometry(1)
@@ -107,6 +107,9 @@ LARGE_FINITE = {
     "second_order_coefficients.gamma_k23": lambda: sd.second_order_coefficients(
         1e30, sd.GasParams(1e4), CYL, 2.0
     ),
+    "GasParams.gamma": lambda: sd.GasParams(1.7e308),
+    "GasParams.above_max_gamma": lambda: sd.GasParams(np.nextafter(MAX_GAMMA, math.inf)),
+    "mu_nu.gamma": lambda: sd.mu_nu(1.5, sd.GasParams(1.7e308)),
 }
 
 
@@ -131,7 +134,34 @@ def test_simple_wave_u_answers_large_rhs(rhs):
     assert abs(u - float(root)) <= 1e-13 * float(root)
 
 
-@pytest.mark.parametrize("gamma", [1.01, 1.4, 5.0 / 3.0, 3.0, 20.0])
+@pytest.mark.parametrize("gamma", [1.0001, 1.4, 5.0 / 3.0, MAX_GAMMA])
+def test_simple_wave_u_meets_its_residual_bound_at_every_magnitude(gamma):
+    # Every finite rhs gets a root, checked against Newton's method in 50
+    # digits on log map(u) = log rhs: |map(u) - rhs| < 1e-13 below rhs = 1,
+    # and a relative residual below 4 eps (1 + log rhs) from there on, where
+    # the float residual itself rounds to ~eps log rhs.
+    gas, eps = sd.GasParams(gamma), np.finfo(float).eps
+    rhs = np.concatenate((np.geomspace(1e-300, 1.7e308, 121), [1.0, np.finfo(float).max]))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = (Decimal(gamma) - 1) / 2
+
+        def log_map(u):
+            return u.ln() + (1 + a * u).ln() / a
+
+        for r in map(float, rhs):
+            u, log_r = Decimal(sd.simple_wave_u(r, gas)), Decimal(r).ln()
+            root = u
+            for _ in range(8):
+                root *= (-(log_map(root) - log_r) / (1 + root / (1 + a * root))).exp()
+            if r < 1.0:
+                assert abs(log_map(u).exp() - Decimal(r)) < Decimal(1e-13), r
+            else:
+                bound = Decimal(4 * eps * (1.0 + math.log(r)))
+                assert abs(log_map(u) - log_r) < bound and abs(u / root - 1) < bound, r
+
+
+@pytest.mark.parametrize("gamma", [1.01, 1.4, 5.0 / 3.0, 3.0, 20.0, MAX_GAMMA])
 def test_coefficients_at_the_mach_ceiling(gamma):
     # At the ceiling every coefficient is finite, and k11 has reached its
     # large-U limit -(gamma-1)/(2 gamma-1); the correction is O(U^-2).
@@ -150,7 +180,7 @@ def test_coefficients_at_the_mach_ceiling(gamma):
 # DomainError, never a warning.  Every start up to MAX_MACH = 1e153 is accepted.
 CCW_CEILING = [
     (gamma, U0, variant)
-    for gamma in (1.01, 1.4, 33.0)
+    for gamma in (1.01, 1.4, 33.0, MAX_GAMMA)
     for U0 in (1e150, 1e153, 5e153, 8e153, 1e154, 1.3e154, 1e200, 1e300)
     for variant in sd.CcwVariant
 ]

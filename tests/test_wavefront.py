@@ -333,10 +333,12 @@ def test_table_pulse_fit_is_exact_pchip_root(geom):
 # integral inside it), two a pass of the root finder (v and the integral),
 # one for the fitted state.  Bisection to adjacent doubles takes ~100.
 FIT_CALL_BUDGET = 64
-# A half-sine or ramp pulse brackets its closed-form root instead of scanning:
-# two calls to check the brackets, then four to seven passes on planar grids
-# from 1.1 x_form to 1e12 (11-17 calls in all; the scan took 44).
-ANALYTIC_FIT_CALL_BUDGET = 20
+# A half-sine or ramp pulse reads its root off the doubles nearest its closed
+# form instead of scanning: two calls over the 9 nearest, two over the 257
+# nearest for the rows left, one for the fitted state.  On planar grids from
+# 1.1 x_form to 1e12 no row goes on to a bracket (which took 11-17 calls in
+# all; the scan took 44).
+ANALYTIC_FIT_CALL_BUDGET = 5
 
 
 def _counted_pulse_calls(pulse):
@@ -467,6 +469,88 @@ def test_near_formation_brackets_fall_back_to_the_scan(shape, monkeypatch):
         below = area_rule_residual(pulse, GAS, geom, x, np.nextafter(tau, 0.0))
         assert np.all(residual[fell_back] <= 0.0) and np.all(below[fell_back] > 0.0)
     assert 0 < scanned < 3 * 200
+
+
+def _closed_form_window(pulse, c, J, K):
+    """The 2K+1 doubles nearest the closed-form root per J, within [0, tau0]."""
+    bits = np.fmin(np.fmax(pulse._root(c * J), 0.0), pulse.tau0).view(np.int64)
+    top = np.array(pulse.tau0).view(np.int64)
+    return np.clip(bits[:, None] + np.arange(-K, K + 1), 0, top).view(float)
+
+
+@pytest.mark.parametrize("shape", ["half-sine", "ramp"])
+def test_window_root_is_the_first_sign_change(shape):
+    # Each row closed off the closed form takes the first double of its
+    # window with F <= 0, where F > 0 on every double below it: the 9-double
+    # window first, the 257-double one for the rows it leaves.  F is
+    # evaluated over all windows at once, as in fit_shock.
+    rng = np.random.default_rng(7 + len(shape))
+    for geom in (PLANAR, CYL, SPH):
+        gas, v0 = GasParams(3.0 - 2.0 * rng.random()), rng.uniform(0.03, 0.2)
+        pulse = _pulse(shape, v0)
+        x = np.geomspace(1.1 * formation_distance(pulse, gas, geom), 1e12, 200)
+        tau = fit_shock(pulse, gas, geom, x).tau_minus
+        c, open_ = 0.25 * (gas.gamma + 1.0), np.ones(x.size, dtype=bool)
+        for K in (4, 128):
+            t = _closed_form_window(pulse, c, ray_integral(x, geom), K)
+            f = area_rule_residual(pulse, gas, geom, x[:, None], t)
+            first = np.argmin(f > 0.0, axis=1)
+            rows = open_ & (first > 0) & (f[np.arange(x.size), first] <= 0.0)
+            np.testing.assert_array_equal(tau[rows], t[rows, first[rows]])
+            open_ &= ~rows
+        assert not open_.any()  # from 1.1 x_form every row closes in a window
+
+
+def _stage_counts(pulse, scans):
+    """Rows that enter each stage of the root finder, from the tau arrays
+    handed to the pulse integral (n x 9 and m x 257 windows, then 2m for
+    the bracket check) and the scan's record."""
+    shapes, integral = [], pulse._integral
+
+    def recorded(t):
+        shapes.append(np.shape(t))
+        return integral(t)
+
+    pulse._integral = recorded
+
+    def counts():
+        windows = dict(s[::-1] for s in shapes if len(s) == 2)
+        flat = [s[0] for s in shapes if len(s) == 1]
+        bracket = flat[0] // 2 if flat and windows else 0
+        return windows.get(9, 0), windows.get(257, 0), bracket, sum(map(len, scans))
+
+    return counts
+
+
+@pytest.mark.parametrize("shape", ["half-sine", "ramp"])
+@pytest.mark.parametrize("stage", [0, 1, 2, 3], ids=["K4", "K128", "bracket", "scan"])
+def test_each_root_stage_closes_to_adjacent_doubles(shape, stage, monkeypatch):
+    # Moving the closed form by 0, 40 or 1000 doubles (or dropping it: NaN)
+    # sends the rows to the 9-double window, the 257-double window, the
+    # padded bracket and Illinois, or the tau scan.  Every row closes in the
+    # stage driven, but at shift 0, where a few rows (11% of one spherical
+    # ramp grid) need the wider window; and every row closes to adjacent doubles.
+    scans = _recorded_scans(monkeypatch)
+    shift = (0, 40, 1000, None)[stage]
+    rng = np.random.default_rng(11 * stage + len(shape))
+    for geom in (PLANAR, CYL, SPH):
+        gas, v0 = GasParams(3.0 - 2.0 * rng.random()), rng.uniform(0.03, 0.2)
+        pulse = _pulse(shape, v0)
+        x = np.geomspace(2.0 * formation_distance(pulse, gas, geom), 1e12, 200)
+        root = pulse._root
+        if shift is None:
+            pulse._root = lambda cJ: np.full_like(cJ, np.nan)
+        else:
+            pulse._root = lambda cJ: (root(cJ).view(np.int64) + shift).view(float)
+        counts = _stage_counts(pulse, scans)
+        tau = fit_shock(pulse, gas, geom, x).tau_minus
+        entered = counts() + (0,)  # the scan's rows all close in Illinois
+        closed = [a - b for a, b in zip(entered, entered[1:])]
+        assert closed[stage] >= (0.8 if stage == 0 else 1.0) * x.size, closed
+        assert entered[0] == x.size and entered[3] == (x.size if stage == 3 else 0)
+        assert np.all(area_rule_residual(pulse, gas, geom, x, tau) <= 0.0)
+        assert np.all(area_rule_residual(pulse, gas, geom, x, np.nextafter(tau, 0.0)) > 0.0)
+        scans.clear()
 
 
 def test_quadrature_fallback_pulse_fits_like_exact_integral():
