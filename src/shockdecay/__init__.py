@@ -11,6 +11,7 @@ generalized rule is the transport pair's first equation with [p_x] = 0.
 """
 
 from .ccw import CcwHistory, CcwVariant, g_classic, g_generalized, integrate_ccw
+from .compare import compare_methods
 from .core import (
     GasParams,
     Geometry,
@@ -83,6 +84,7 @@ __all__ = [
     "asymptotic_law",
     "breakdown_distance",
     "closed_form",
+    "compare_methods",
     "decay_slope",
     "first_order_coefficients",
     "fit_shock",

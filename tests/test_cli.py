@@ -23,6 +23,8 @@ from shockdecay import (
     ccw,
     cli,
     closed_form,
+    compare,
+    compare_methods,
     fit_shock,
     formation_distance,
     integrate_ccw,
@@ -460,7 +462,7 @@ def test_simple_wave_deviation_is_the_grid_maximum(gamma, j, x_end):
                 rhs = pulse.v(tau) * psi(x, geom)
                 dev = max(dev, abs(simple_wave_u(rhs, gas) - rhs))
         expected[f"deviation_{eps:g}"] = dev
-    out = cli._pipeline_simple_wave(gas)
+    out = compare._pipeline_simple_wave(gas)
     assert {k: out[k] for k in expected} == expected
     assert out["quadratic_ratio"] == expected["deviation_0.01"] / expected["deviation_0.001"]
 
@@ -595,10 +597,11 @@ def test_compare_methods_builds_one_transport_grid(monkeypatch, tmp_path, out_di
     # One sample grid serves every geometry and branch; integrate_truncated
     # runs only to write the transport CSVs, one per geometry and branch.
     grids, histories = [], []
-    sample_grid, integrate = cli._sample_grid, cli.integrate_truncated
-    monkeypatch.setattr(cli, "_sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
+    sample_grid, integrate = compare._sample_grid, compare.integrate_truncated
+    monkeypatch.setattr(compare, "_sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
     monkeypatch.setattr(
-        cli, "integrate_truncated", lambda *a, **kw: histories.append(a) or integrate(*a, **kw))
+        compare, "integrate_truncated", lambda *a, **kw: histories.append(a) or integrate(*a, **kw)
+    )
     argv = ["compare-methods", "--report", str(tmp_path / "report.json")]
     assert main(argv + ["--out-dir", str(tmp_path / "csv")] * out_dir) == 0
     assert len(grids) == 1
@@ -627,7 +630,7 @@ def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
     # grid): every bracket comes from the half-sine's closed-form root.  It
     # runs each CCW rule once, for all three geometries.
     scan, scans, ccw_runs = np.linspace(0.0, 1.0, 400)[1:], [], []
-    half_sine, ccw_geometries = BoundaryPulse.half_sine, cli.integrate_ccw_geometries
+    half_sine, ccw_geometries = BoundaryPulse.half_sine, compare.integrate_ccw_geometries
 
     def counting_half_sine(v0, tau0):
         pulse = half_sine(v0, tau0)
@@ -646,7 +649,7 @@ def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
         return ccw_geometries(U0, gas, geoms, x_end, variant, n_samples)
 
     monkeypatch.setattr(BoundaryPulse, "half_sine", staticmethod(counting_half_sine))
-    monkeypatch.setattr(cli, "integrate_ccw_geometries", counting_ccw_geometries)
+    monkeypatch.setattr(compare, "integrate_ccw_geometries", counting_ccw_geometries)
     assert main(["compare-methods"]) == 0
     assert len(scans) == 0
     assert sorted(variant.value for variant, _ in ccw_runs) == ["classic", "generalized"]
@@ -699,6 +702,28 @@ def test_compare_methods_deterministic(tmp_path):
              "--report", str(path)]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, geoms, x_end, code",
+    [
+        ([], (0, 1, 2), 1e12, 0),
+        (["--geometry", "planar", "--x-end", "30"], (0,), 30.0, 4),
+        (["--geometry", "spherical"], (2,), 1e12, 0),
+    ],
+)
+def test_compare_methods_library_call_gives_the_report_bytes(
+    argv, geoms, x_end, code, tmp_path, capsys
+):
+    # The command only serialises the library's report: the same bytes, and the
+    # library call prints nothing.
+    path = tmp_path / "report.json"
+    assert main(["compare-methods", *argv, "--report", str(path)]) == code
+    capsys.readouterr()
+    report = compare_methods(GasParams(1.4), map(Geometry, geoms), 0.05, 1.0, x_end)
+    assert capsys.readouterr() == ("", "")
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == path.read_text()
+    assert report["status"] == ("partial" if code == 4 else "ok")
 
 
 def test_config_file_merging(tmp_path):

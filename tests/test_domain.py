@@ -67,6 +67,9 @@ CALLS = {
     "wngo_decay.x": lambda v: sd.wngo_decay(0.1, GAS, CYL, v),
     "ruw_state.u": lambda v: sd.ruw_state(v),
     "simple_wave_u.rhs": lambda v: sd.simple_wave_u(v),
+    "compare_methods.h": lambda v: sd.compare_methods(GAS, [CYL], v, 1.0, 1e4),
+    "compare_methods.k": lambda v: sd.compare_methods(GAS, [CYL], 0.05, v, 1e4),
+    "compare_methods.x_end": lambda v: sd.compare_methods(GAS, [CYL], 0.05, 1.0, v),
 }
 for j in (0, 1, 2):  # psi and J are checked in every geometry, also where x is unused
     geom = sd.Geometry(j)
@@ -85,7 +88,9 @@ def test_non_finite_input_raises_domain_error(name, value):
 
 # Large but finite inputs whose answer overflows a float, or which lie above
 # a Mach ceiling (core.MAX_MACH, transport.MAX_COEFFICIENT_MACH): DomainError,
-# and no overflow warning on the way.
+# and no overflow warning on the way.  compare_methods also refuses, next to the
+# compare-methods defaults, the finite data that command exits 2 on.
+COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
 LARGE_FINITE = {
     "asymptotic_law.h_over_k": lambda: sd.asymptotic_law(2.0, 1e300, 1e-300),
     "wngo_decay.b": lambda: sd.wngo_decay(1e308, x=1.0000001),
@@ -110,6 +115,15 @@ LARGE_FINITE = {
     "GasParams.gamma": lambda: sd.GasParams(1.7e308),
     "GasParams.above_max_gamma": lambda: sd.GasParams(np.nextafter(MAX_GAMMA, math.inf)),
     "mu_nu.gamma": lambda: sd.mu_nu(1.5, sd.GasParams(1.7e308)),
+    "compare_methods.h=0.2": lambda: sd.compare_methods(**COMPARE | {"h": 0.2}),
+    "compare_methods.h=1e300": lambda: sd.compare_methods(**COMPARE | {"h": 1e300}),
+    "compare_methods.k=0": lambda: sd.compare_methods(**COMPARE | {"k": 0.0}),
+    "compare_methods.k=1e300": lambda: sd.compare_methods(**COMPARE | {"k": 1e300}),
+    "compare_methods.x_end=1e300": lambda: sd.compare_methods(**COMPARE | {"x_end": 1e300}),
+    "compare_methods.no_geometries": lambda: sd.compare_methods(**COMPARE | {"geometries": []}),
+    "compare_methods.repeated_geometry": lambda: sd.compare_methods(
+        **COMPARE | {"geometries": [CYL, CYL]}
+    ),
 }
 
 
