@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, _u_p_jumps, as_scalar,
-                   check_x_end, log_grid, write_csv)
+                   check_samples, check_x_end, log_grid, write_csv)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
@@ -132,6 +132,7 @@ def integrate_ccw_geometries(
             f"initial Mach number must exceed 1 + {WEAK_LIMIT_FLOOR:g} and be <= {MAX_MACH:g}"
         )
     check_x_end(x_end)
+    check_samples(n_samples)
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
     coeff, phi_of, g = _COEFFICIENTS[variant], _PHI[variant], gas.gamma

@@ -21,7 +21,8 @@ import numpy as np
 
 from .ccw import CcwVariant, integrate_ccw
 from .compare import compare_methods
-from .core import GasParams, Geometry, check_x_end, log_grid, mach_from_p_jump, write_csv
+from .core import (MAX_SAMPLES, GasParams, Geometry, check_x_end, log_grid, mach_from_p_jump,
+                   write_csv)
 from .errors import ConfigError, DomainError, ShockError
 from .transport import (
     REFERENCE_CASES,
@@ -40,10 +41,6 @@ from .wavefront import (
     formation_distance,
     wngo_decay,
 )
-
-
-# Largest accepted --samples: a grid and its columns must fit in memory.
-MAX_SAMPLES = 1_000_000
 
 # The config keys read, by section, and the flag dest each one backs.
 _CONFIG_KEYS = {

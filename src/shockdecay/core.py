@@ -10,6 +10,7 @@ J(x) = integral_1^x psi(s) ds evaluated in closed form below.  An input
 that is NaN, infinite or outside its range raises DomainError.
 """
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -28,12 +29,20 @@ MAX_MACH = 1e153
 # Largest accepted gamma (inclusive): 2 gamma MAX_MACH^2 stays finite below
 # gamma = 89, and the coefficient kernel is right at its ceiling to about 210.
 MAX_GAMMA = 50.0
+# Largest accepted sample count: a grid and its columns must fit in memory.
+MAX_SAMPLES = 1_000_000
 
 
 def check_x_end(x_end):
     """Raise DomainError unless 1 < x_end <= MAX_X_END."""
     if not 1.0 < x_end <= MAX_X_END:
         raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}], got {x_end}")
+
+
+def check_samples(n_samples):
+    """Raise DomainError unless n_samples is an integer in [2, MAX_SAMPLES]."""
+    if not (isinstance(n_samples, numbers.Integral) and 2 <= n_samples <= MAX_SAMPLES):
+        raise DomainError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,8 @@ class Geometry:
     j: int = 0
 
     def __post_init__(self):
-        if self.j not in (0, 1, 2):
-            raise DomainError(f"geometry index must be 0, 1 or 2, got {self.j}")
+        if not (isinstance(self.j, numbers.Integral) and self.j in (0, 1, 2)):
+            raise DomainError(f"geometry index must be 0, 1 or 2, got {self.j!r}")
 
     @classmethod
     def from_name(cls, name):

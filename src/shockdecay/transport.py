@@ -39,6 +39,7 @@ from .core import (
     _positions,
     _psi,
     as_scalar,
+    check_samples,
     check_x_end,
     far_field_gradient,
     log_grid,
@@ -376,6 +377,7 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     last sample where I(x) > 0; when that drops any sample, the breakdown
     position x* with I(x*) = 0 is recorded as breakdown.
     """
+    check_samples(n_samples)
     xs = _sample_grid(scen.x_end, n_samples)
     # I(x) exactly as _closed_form_jumps evaluates it, so no kept sample raises.
     I = 1.0 + 0.5 * (scen.gas.gamma + 1.0) * scen.k * ray_integral(xs, scen.geom)
@@ -411,6 +413,8 @@ def decay_slope(x, y):
     """
     x = _positions(x)
     y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DomainError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
     keep = (y > 0.0) & np.isfinite(y)
     return _slope(_centred(np.log(x[keep])), y[keep])
 

@@ -315,9 +315,8 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     double below.  A half-sine or ramp pulse reads it off the 9, then the 257,
     doubles nearest its closed-form root: the first with F <= 0 where F > 0 on
     every one below.  Rows left (near formation, where the root is nearly
-    double) and table and custom pulses take a bracket: 4 ulps plus 1e-12
-    around the closed form where F(lo) > 0 >= F(hi) holds, else the first cell
-    of a tau scan where the running maximum of R(tau) := 4 B/((gamma+1) v^2)
+    double) and table and custom pulses take as bracket the first cell of a
+    tau scan where the running maximum of R(tau) := 4 B/((gamma+1) v^2)
     reaches J(x), as F <= 0 exactly when J <= R.  Illinois false position
     (Dowell & Jarratt 1971) narrows all brackets together, each step at least
     four ulps inside, so a one-sided approach crosses the root; it is the
@@ -327,35 +326,26 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     pulse knots, where a table pulse puts its sharp features; a peak of R
     narrower than the spacing and away from every knot can still be missed.
     """
-    return fit_shock_geometries(pulse, gas, {geom: x_grid})[geom]
-
-
-def fit_shock_geometries(pulse, gas, grids):
-    """fit_shock for each geometry of ``grids``, a {Geometry: x_grid} dict.
-
-    Geometry enters the root search only through J(x), so one root search
-    serves every geometry.  Each fit is fit_shock's to the last bit.  Raises
-    what fit_shock raises for the first geometry it refuses.
-    """
-    checked = {}
-    for geom, x_grid in grids.items():
-        x_grid = np.asarray(x_grid, dtype=float)
-        if x_grid.ndim != 1 or x_grid.size == 0:
-            raise DomainError("x_grid must be a one-dimensional, nonempty array")
-        if not (1.0 < x_grid[0] and x_grid[-1] < math.inf and np.all(np.diff(x_grid) > 0.0)):
-            raise DomainError("x_grid must be finite, strictly increasing, with x_grid[0] > 1")
-        x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
-        if x_grid[0] <= x_form:
-            raise FittingError(
-                f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
-                f"at x = {x_form}"
-            )
-        checked[geom] = (x_grid, x_form)
-    return _fit_checked(pulse, gas, checked)
+    x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.ndim != 1 or x_grid.size == 0:
+        raise DomainError("x_grid must be a one-dimensional, nonempty array")
+    if not (1.0 < x_grid[0] and x_grid[-1] < math.inf and np.all(np.diff(x_grid) > 0.0)):
+        raise DomainError("x_grid must be finite, strictly increasing, with x_grid[0] > 1")
+    x_form = formation_distance(pulse, gas, geom)  # rejects non-compressive heads
+    if x_grid[0] <= x_form:
+        raise FittingError(
+            f"no overtaking wavelet at x = {x_grid[0]}; the lead shock only forms "
+            f"at x = {x_form}"
+        )
+    return _fit_checked(pulse, gas, {geom: (x_grid, x_form)})[geom]
 
 
 def _fit_checked(pulse, gas, checked):
-    """fit_shock_geometries of {Geometry: (x_grid, x_form)}, each grid checked as there."""
+    """fit_shock of each {Geometry: (x_grid, x_form)} entry, its grid checked as there.
+
+    Geometry enters the root search only through J(x), so one root search
+    serves every geometry.  Each fit is fit_shock's to the last bit.
+    """
     if not checked:
         return {}
     g, tau0 = gas.gamma, pulse.tau0
@@ -397,7 +387,7 @@ def _scan_brackets(pulse, c, x, J):
 
 # For a strong pulse v^2 and F may overflow to +inf, which keeps F's sign; a
 # false-position step that is then not finite is replaced by the midpoint, and
-# a closed-form root that is not finite fails its bracket check.
+# a closed-form root that is not finite reads 0 or tau0, where no window closes.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _equal_area_roots(pulse, c, x, J):
     """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
@@ -406,7 +396,6 @@ def _equal_area_roots(pulse, c, x, J):
         return c * pulse.v(t) ** 2 * J - (pulse._integral(t) - pulse._b0)
 
     taus, live = np.empty_like(J), np.arange(J.size)  # the roots, and the entries still open
-    lo, hi, f_lo, f_hi = np.full((4, J.size), np.nan)
     if pulse._root is not None:
         tau = pulse._root(c * J)
         # The 2K+1 doubles nearest the closed form, by steps on the bit pattern (it orders
@@ -422,14 +411,8 @@ def _equal_area_roots(pulse, c, x, J):
             live = live[~closed]
             if not live.size:
                 return taus
-        tau = tau[live]  # else a bracket of 4 ulps plus 1e-12 either side
-        d = 4.0 * np.spacing(tau) + 1e-12 * tau
-        lo, hi = np.clip(tau - d, 0.0, pulse.tau0), np.clip(tau + d, 0.0, pulse.tau0)
-        f_lo, f_hi = np.split(F(np.concatenate((lo, hi)), np.tile(J[live], 2)), 2)
-    x, Jl = x[live], J[live]  # the brackets still open, and their J
-    scan = ~((f_lo > 0.0) & (f_hi <= 0.0))  # brackets to take from the tau scan
-    if scan.any():
-        lo[scan], hi[scan], f_lo[scan], f_hi[scan] = _scan_brackets(pulse, c, x[scan], Jl[scan])
+    x, Jl = x[live], J[live]  # the rows still open, and their J
+    lo, hi, f_lo, f_hi = _scan_brackets(pulse, c, x, Jl)
     above = below = np.zeros(live.size, dtype=bool)  # which end moved last pass
     for n in itertools.count():
         mid = 0.5 * (lo + hi)

@@ -627,7 +627,7 @@ def test_compare_methods_failures_stay_per_geometry(tmp_path):
 
 def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
     # One default run does no equal-area scan (the pulse on the tau scan
-    # grid): every bracket comes from the half-sine's closed-form root.  It
+    # grid): every root is read off the half-sine's closed-form windows.  It
     # runs each CCW rule once, for all three geometries.
     scan, scans, ccw_runs = np.linspace(0.0, 1.0, 400)[1:], [], []
     half_sine, ccw_geometries = BoundaryPulse.half_sine, compare.integrate_ccw_geometries

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import shockdecay as sd
-from shockdecay.core import MAX_GAMMA, MAX_MACH
+from shockdecay.core import MAX_GAMMA, MAX_MACH, MAX_SAMPLES
 from shockdecay.transport import MAX_COEFFICIENT_MACH
 
-GAS, CYL = sd.GasParams(1.4), sd.Geometry(1)
+GAS, CYL, SPH = sd.GasParams(1.4), sd.Geometry(1), sd.Geometry(2)
 PULSE = sd.BoundaryPulse.half_sine(0.05, 1.0)
 
 CALLS = {
@@ -89,8 +89,11 @@ def test_non_finite_input_raises_domain_error(name, value):
 # Large but finite inputs whose answer overflows a float, or which lie above
 # a Mach ceiling (core.MAX_MACH, transport.MAX_COEFFICIENT_MACH): DomainError,
 # and no overflow warning on the way.  compare_methods also refuses, next to the
-# compare-methods defaults, the finite data that command exits 2 on.
+# compare-methods defaults, the finite data that command exits 2 on.  Sample
+# counts are checked like --samples: an integer in [2, MAX_SAMPLES].  A
+# geometry index must be an integer, and decay_slope's x and y one shape.
 COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
+SCEN = sd.Scenario(GAS, CYL)
 LARGE_FINITE = {
     "asymptotic_law.h_over_k": lambda: sd.asymptotic_law(2.0, 1e300, 1e-300),
     "wngo_decay.b": lambda: sd.wngo_decay(1e308, x=1.0000001),
@@ -124,6 +127,21 @@ LARGE_FINITE = {
     "compare_methods.repeated_geometry": lambda: sd.compare_methods(
         **COMPARE | {"geometries": [CYL, CYL]}
     ),
+    "integrate_ccw.n_samples=1": lambda: sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=1),
+    "integrate_ccw.n_samples=0": lambda: sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=0),
+    "integrate_ccw.n_samples=-1": lambda: sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=-1),
+    "integrate_ccw.n_samples=2.5": lambda: sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=2.5),
+    "integrate_ccw.above_max_samples": lambda: sd.integrate_ccw(
+        1.5, GAS, SPH, 1e4, n_samples=MAX_SAMPLES + 1
+    ),
+    "integrate_truncated.n_samples=1": lambda: sd.integrate_truncated(SCEN, n_samples=1),
+    "integrate_truncated.n_samples=-1": lambda: sd.integrate_truncated(SCEN, n_samples=-1),
+    "integrate_truncated.n_samples=2.5": lambda: sd.integrate_truncated(SCEN, n_samples=2.5),
+    "integrate_truncated.above_max_samples": lambda: sd.integrate_truncated(
+        SCEN, n_samples=MAX_SAMPLES + 1
+    ),
+    "Geometry.j=1.0": lambda: sd.Geometry(1.0),
+    "decay_slope.shapes": lambda: sd.decay_slope([1.0, 2.0, 3.0], [1.0, 2.0]),
 }
 
 
@@ -131,6 +149,15 @@ LARGE_FINITE = {
 def test_large_finite_input_raises_domain_error(name):
     with pytest.raises(sd.DomainError):
         LARGE_FINITE[name]()
+
+
+def test_numpy_integer_sample_counts_pass():
+    # A numpy integer count is an integer: the same history as a Python int.
+    for n in (2, 3, 1000):
+        ccw = sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=np.int64(n))
+        np.testing.assert_array_equal(ccw.U, sd.integrate_ccw(1.5, GAS, SPH, 1e4, n_samples=n).U)
+        hist = sd.integrate_truncated(SCEN, n_samples=np.int32(n))
+        np.testing.assert_array_equal(hist.p_jump, sd.integrate_truncated(SCEN, n_samples=n).p_jump)
 
 
 # Large finite inputs with a finite answer: that answer, and no warning on the way.

@@ -43,8 +43,8 @@ from shockdecay.wavefront import (
     FITTED_CSV_HEADER,
     ROOT_RESIDUAL_TOL,
     FittedShock,
+    _fit_checked,
     _gradient_shape,
-    fit_shock_geometries,
 )
 
 GAS = GasParams(1.4)
@@ -336,8 +336,7 @@ FIT_CALL_BUDGET = 64
 # A half-sine or ramp pulse reads its root off the doubles nearest its closed
 # form instead of scanning: two calls over the 9 nearest, two over the 257
 # nearest for the rows left, one for the fitted state.  On planar grids from
-# 1.1 x_form to 1e12 no row goes on to a bracket (which took 11-17 calls in
-# all; the scan took 44).
+# 1.1 x_form to 1e12 no row goes on to the scan (which took 44 calls).
 ANALYTIC_FIT_CALL_BUDGET = 5
 
 
@@ -431,8 +430,8 @@ def _closed_form_oracle(shape, v0, tau0, cJ):
 def test_analytic_pulse_fit_is_the_closed_form_root(shape, tau0, monkeypatch):
     # Seeded gamma in (1, 3] and amplitudes in every geometry (v0 >= 0.03
     # keeps the spherical formation distance in range): tau_- is the brentq
-    # root, every bracket closes to adjacent doubles, and from 1.1 x_form on
-    # no bracket comes from the tau scan.
+    # root, every row closes to adjacent doubles, and the tau scan gets
+    # exactly the rows that neither closed-form window closes.
     scans = _recorded_scans(monkeypatch)
     rng = np.random.default_rng(int(40 * tau0) + len(shape))
     for geom in (PLANAR, CYL, SPH):
@@ -443,18 +442,26 @@ def test_analytic_pulse_fit_is_the_closed_form_root(shape, tau0, monkeypatch):
             x_form = formation_distance(pulse, gas, geom)
             x = np.geomspace(1.1 * x_form, max(1e12, 1e3 * x_form), 50)
             tau = fit_shock(pulse, gas, geom, x).tau_minus
-            cJ = 0.25 * (gas.gamma + 1.0) * ray_integral(x, geom)
+            c, J = 0.25 * (gas.gamma + 1.0), ray_integral(x, geom)
+            cJ = c * J
             ref = [_closed_form_oracle(shape, v0, tau0, cJi) for cJi in cJ]
             np.testing.assert_allclose(tau, ref, rtol=1e-12)
             assert np.all(area_rule_residual(pulse, gas, geom, x, tau) <= 0.0)
             assert np.all(area_rule_residual(pulse, gas, geom, x, np.nextafter(tau, 0.0)) > 0.0)
-    assert scans == []
+            open_ = np.ones(x.size, dtype=bool)
+            for K in (4, 128):
+                t = _closed_form_window(pulse, c, J, K)
+                f = area_rule_residual(pulse, gas, geom, x[:, None], t)
+                first = np.argmin(f > 0.0, axis=1)
+                open_ &= ~((first > 0) & (f[np.arange(x.size), first] <= 0.0))
+            np.testing.assert_array_equal(np.concatenate(scans or [[]]), J[open_])
+            scans.clear()
 
 
 @pytest.mark.parametrize("shape", ["half-sine", "ramp"])
 def test_near_formation_brackets_fall_back_to_the_scan(shape, monkeypatch):
     # At 1.0001 x_form the root is nearly double and F rounds coarsely around
-    # it, so some closed-form brackets fail their sign check; those entries
+    # it, so some rows close in neither closed-form window; those entries
     # take the scan's bracket and still close to adjacent doubles.
     scans = _recorded_scans(monkeypatch)
     scanned = 0
@@ -503,8 +510,8 @@ def test_window_root_is_the_first_sign_change(shape):
 
 def _stage_counts(pulse, scans):
     """Rows that enter each stage of the root finder, from the tau arrays
-    handed to the pulse integral (n x 9 and m x 257 windows, then 2m for
-    the bracket check) and the scan's record."""
+    handed to the pulse integral (n x 9 and m x 257 windows) and the scan's
+    record."""
     shapes, integral = [], pulse._integral
 
     def recorded(t):
@@ -515,24 +522,22 @@ def _stage_counts(pulse, scans):
 
     def counts():
         windows = dict(s[::-1] for s in shapes if len(s) == 2)
-        flat = [s[0] for s in shapes if len(s) == 1]
-        bracket = flat[0] // 2 if flat and windows else 0
-        return windows.get(9, 0), windows.get(257, 0), bracket, sum(map(len, scans))
+        return windows.get(9, 0), windows.get(257, 0), sum(map(len, scans))
 
     return counts
 
 
 @pytest.mark.parametrize("shape", ["half-sine", "ramp"])
-@pytest.mark.parametrize("stage", [0, 1, 2, 3], ids=["K4", "K128", "bracket", "scan"])
+@pytest.mark.parametrize("stage", [0, 1, 2], ids=["K4", "K128", "scan"])
 def test_each_root_stage_closes_to_adjacent_doubles(shape, stage, monkeypatch):
-    # Moving the closed form by 0, 40 or 1000 doubles (or dropping it: NaN)
-    # sends the rows to the 9-double window, the 257-double window, the
-    # padded bracket and Illinois, or the tau scan.  Every row closes in the
-    # stage driven, but at shift 0, where a few rows (11% of one spherical
-    # ramp grid) need the wider window; and every row closes to adjacent doubles.
+    # Moving the closed form by 0 or 40 doubles (or dropping it: NaN) sends
+    # the rows to the 9-double window, the 257-double window, or the tau scan
+    # and Illinois.  Every row closes in the stage driven, but at shift 0,
+    # where a few rows (11% of one spherical ramp grid) need the wider window;
+    # and every row closes to adjacent doubles.
     scans = _recorded_scans(monkeypatch)
-    shift = (0, 40, 1000, None)[stage]
-    rng = np.random.default_rng(11 * stage + len(shape))
+    shift = (0, 40, None)[stage]
+    rng = np.random.default_rng((0, 11, 33)[stage] + len(shape))
     for geom in (PLANAR, CYL, SPH):
         gas, v0 = GasParams(3.0 - 2.0 * rng.random()), rng.uniform(0.03, 0.2)
         pulse = _pulse(shape, v0)
@@ -547,7 +552,7 @@ def test_each_root_stage_closes_to_adjacent_doubles(shape, stage, monkeypatch):
         entered = counts() + (0,)  # the scan's rows all close in Illinois
         closed = [a - b for a, b in zip(entered, entered[1:])]
         assert closed[stage] >= (0.8 if stage == 0 else 1.0) * x.size, closed
-        assert entered[0] == x.size and entered[3] == (x.size if stage == 3 else 0)
+        assert entered[0] == x.size and entered[2] == (x.size if stage == 2 else 0)
         assert np.all(area_rule_residual(pulse, gas, geom, x, tau) <= 0.0)
         assert np.all(area_rule_residual(pulse, gas, geom, x, np.nextafter(tau, 0.0)) > 0.0)
         scans.clear()
@@ -705,10 +710,10 @@ def test_fit_shock_gradient_masking():
 
 
 def test_fit_shock_geometries_match_single_fits():
-    # One bracketing and one Illinois iteration for all geometries: every fit
-    # is fit_shock's bit for bit, from the scan (table, custom) or from
-    # closed-form brackets checked elementwise, also where the pulse integral
-    # comes from panel quadrature, and a grid fit_shock refuses is refused.
+    # compare's path, one root search and one Illinois iteration for all
+    # geometries: every fit is fit_shock's bit for bit, from the scan (table,
+    # custom) or from closed-form windows checked elementwise, also where the
+    # pulse integral comes from panel quadrature.
     taus = np.linspace(0.0, 1.0, 30)
     pulse = BoundaryPulse.from_table(taus, 0.05 * np.sin(np.pi * taus) * (1.0 + 0.3 * taus))
     custom = BoundaryPulse(lambda t: 0.05 * np.sin(np.pi * t) * (1.0 + 0.3 * t), 1.0)
@@ -716,19 +721,17 @@ def test_fit_shock_geometries_match_single_fits():
     for each, (start, sizes) in itertools.product(
         (pulse, custom, _pulse("half-sine"), _pulse("ramp")), starts_and_sizes
     ):
-        grids = {
-            geom: np.geomspace(start * formation_distance(each, GAS, geom), 1e10, n)
-            for geom, n in zip((SPH, PLANAR, CYL), sizes)
-        }
-        batch = fit_shock_geometries(each, GAS, grids)
+        checked = {}
+        for geom, n in zip((SPH, PLANAR, CYL), sizes):
+            x_form = formation_distance(each, GAS, geom)
+            checked[geom] = (np.geomspace(start * x_form, 1e10, n), x_form)
+        batch = _fit_checked(each, GAS, checked)
         assert list(batch) == [SPH, PLANAR, CYL]
-        for geom, grid in grids.items():
+        for geom, (grid, _) in checked.items():
             single = fit_shock(each, GAS, geom, grid)
             for field in ("x", "tau_minus", "u_jump", "ux_jump", "shock_time", "x_formation"):
                 np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
-    with pytest.raises(DomainError, match="strictly increasing"):
-        fit_shock_geometries(pulse, GAS, {**grids, PLANAR: grids[PLANAR][::-1]})
-    assert fit_shock_geometries(pulse, GAS, {}) == {}
+    assert _fit_checked(pulse, GAS, {}) == {}
 
 
 def test_fit_shock_rejects_bad_input():
