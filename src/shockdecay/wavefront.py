@@ -32,9 +32,8 @@ from .core import (
     Geometry,
     _psi,
     as_scalar,
-    far_field_gradient,
     gauss_legendre,
-    psi,
+    psi,  # unused here, but bench/tracing.py wraps wavefront.psi
     ray_integral,
     write_csv,
 )
@@ -43,13 +42,18 @@ from .errors import DomainError, FittingError, VacuumError
 ROOT_RESIDUAL_TOL = 1e-13
 
 
+def _horner(coeffs, s):
+    """coeffs[0] s^n + ... + coeffs[n] by Horner's rule, elementwise."""
+    return functools.reduce(lambda out, c: out * s + c, coeffs)
+
+
 def _pchip(x, y):
     """scipy's PCHIP through (x, y) (Fritsch & Carlson 1980), in numpy.
 
-    Returns v (knots kept as v.x), its exact piecewise-quartic antiderivative
-    from x[0], and v'(x[0]).  Interior slopes are weighted harmonic means of
-    the adjacent secants, zero where those differ in sign or one vanishes; the
-    end slopes take the three-point shape-preserving rule.
+    Returns v (knots kept as v.x), its exact piecewise-quartic antiderivative B
+    from x[0], v'(x[0]), and (v, v', B) as quartics in s (5 x 3 x segments).
+    Interior slopes: weighted harmonic means of adjacent secants, zero where they
+    differ in sign or one vanishes; end slopes: the three-point shape-preserving rule.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -72,15 +76,13 @@ def _pchip(x, y):
 
     def horner(coeffs, tau):
         k = np.searchsorted(inner, tau, side="right")  # segment, clamped to the ends
-        s, out = tau - x.take(k), coeffs[0].take(k)
-        for c in coeffs[1:]:
-            out *= s
-            out += c.take(k)
-        return out
+        return _horner((c.take(k) for c in coeffs), tau - x.take(k))  # one take at a time
 
     v = functools.partial(horner, cubic)
     v.x = x
-    return v, functools.partial(horner, quartic + (base,)), d[0]
+    zero, slopes = 0.0 * h, (3.0 * cubic[0], 2.0 * cubic[1], cubic[2])
+    stack = np.array([*zip((zero, *cubic), (zero, zero, *slopes), (*quartic, base))])
+    return v, functools.partial(horner, quartic + (base,)), d[0], stack
 
 
 def _panel_integral(v, tau0):
@@ -132,7 +134,7 @@ class BoundaryPulse:
     """
 
     knots = ()
-    _root = None  # closed-form smallest root tau_-(c J) of the area rule, where known
+    _root = None  # smallest root tau_-(c J) of the area rule, closed form or estimate
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
         if not 0.0 < tau0 < math.inf:
@@ -218,9 +220,10 @@ class BoundaryPulse:
             raise DomainError("pulse table is identically zero")
         if abs(values[0]) > 1e-9 * scale or abs(values[-1]) > 1e-9 * scale:
             raise DomainError("pulse table must vanish at both ends")
-        v, integral, vdot0 = _pchip(taus, values)
+        v, integral, vdot0, coeffs = _pchip(taus, values)
         pulse = cls(v, taus[-1], vdot0=vdot0, integral=integral, label="table")
         pulse.knots = taus
+        pulse._root = functools.partial(_pchip_root, pulse, coeffs)
         return pulse
 
     @classmethod
@@ -313,18 +316,20 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     B(tau) = int_0^tau v, the equal-area rule is F = (gamma+1)/4 v^2 J - B = 0;
     tau_-(x) is its smallest root to adjacent doubles, F(tau_-) <= 0 < F at the
     double below.  A half-sine or ramp pulse reads it off the 9, then the 257,
-    doubles nearest its closed-form root: the first with F <= 0 where F > 0 on
-    every one below.  Rows left (near formation, where the root is nearly
-    double) and table and custom pulses take as bracket the first cell of a
-    tau scan where the running maximum of R(tau) := 4 B/((gamma+1) v^2)
-    reaches J(x), as F <= 0 exactly when J <= R.  Illinois false position
-    (Dowell & Jarratt 1971) narrows all brackets together, each step at least
-    four ulps inside, so a one-sided approach crosses the root; it is the
-    midpoint where F(lo) = 0, where it is not finite, where the bracket spans
-    at most two margins, and after 40 passes.  A closed bracket drops out of
-    later passes.  The scan is uniform with spacing tau0/399 and holds the
-    pulse knots, where a table pulse puts its sharp features; a peak of R
-    narrower than the spacing and away from every knot can still be missed.
+    doubles nearest its closed-form root, a table pulse off those nearest 3-8
+    Newton passes on its PCHIP: the first with F <= 0 where F > 0 on every one
+    below.  Rows left (near formation, where the root is nearly double; 3 in
+    56,000 seeded table rows from 1.1 x_form) and custom pulses take as bracket
+    the first cell of a tau scan where the running maximum of
+    R(tau) := 4 B/((gamma+1) v^2) reaches J(x), as F <= 0 exactly when J <= R.
+    Illinois false position (Dowell & Jarratt 1971) narrows all brackets
+    together, each step at least four ulps inside, so a one-sided approach
+    crosses the root; it is the midpoint where F(lo) = 0, where it is not
+    finite, where the bracket spans at most two margins, and after 40 passes.
+    A closed bracket drops out of later passes.  The scan is uniform with
+    spacing tau0/399 and holds the pulse knots, where a table pulse puts its
+    sharp features; a peak of R narrower than the spacing and away from every
+    knot can still be missed.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0:
@@ -372,22 +377,45 @@ def _fit_checked(pulse, gas, checked):
     return out
 
 
-def _scan_brackets(pulse, c, x, J):
-    """Brackets (lo, hi, F(lo), F(hi)) of the smallest roots from a tau scan."""
+def _scan_cells(pulse, c, J, x=None):
+    """Whether a tau scan finds the smallest root per J, and its bracket (lo, hi, F(lo), F(hi));
+    given the positions x, a J with no root raises FittingError."""
     scan = np.union1d(np.linspace(0.0, pulse.tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
     B = pulse.v_integral(scan[1:])
     R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
     cell = np.searchsorted(np.maximum.accumulate(R), J)
-    if np.any(cell == R.size):
-        raise FittingError(f"no root in (0, {pulse.tau0}] at x = {x[np.argmax(cell == R.size)]}")
+    found, cell = cell < R.size, np.minimum(cell, R.size - 1)
+    if x is not None and not found.all():
+        raise FittingError(f"no root in (0, {pulse.tau0}] at x = {x[np.argmin(found)]}")
     f_lo = np.where(cell > 0, cv2[cell - 1] * J - B[cell - 1], 0.0)
-    return scan[cell], scan[cell + 1], f_lo, cv2[cell] * J - B[cell]  # F > 0 just above lo
+    return found, scan[cell], scan[cell + 1], f_lo, cv2[cell] * J - B[cell]  # F > 0 just above lo
+
+
+def _pchip_root(pulse, coeffs, cJ):
+    """A table pulse's tau_-(cJ) to within rounding, for the windows of _equal_area_roots:
+    Newton on G = sqrt(cJ) v - sqrt(B), F's root but near linear where F ~ tau^2, on the
+    PCHIP segment of each row's scan cell from F's false-position point, held in the cell.
+    A row stops on its own (a batch keeps its bits) once a step is at most 16 ulps, or
+    after 8 steps.  It is NaN where the scan finds no root or B < 0."""
+    live, lo, hi, f_lo, f_hi = _scan_cells(pulse, 1.0, cJ)
+    k = np.searchsorted(pulse.knots[1:-1], lo, side="right")  # the scan holds the knots
+    P, x0, r = coeffs[..., k].copy(), pulse.knots[k], np.sqrt(cJ)  # copied: contiguous
+    t = np.where(live, lo - f_lo * (hi - lo) / (f_hi - f_lo), np.nan)
+    for _ in range(8):
+        v, dv, B = _horner(P, t - x0)  # B(0) = 0 for a table
+        root_B = np.sqrt(B)
+        step = (r * v - root_B) / (r * dv - 0.5 * v / root_B)
+        t = np.where(live, np.minimum(np.maximum(t - step, lo), hi), t)
+        live &= np.abs(step) > 16.0 * np.spacing(t)
+        if not live.any():
+            break
+    return t
 
 
 # For a strong pulse v^2 and F may overflow to +inf, which keeps F's sign; a
 # false-position step that is then not finite is replaced by the midpoint, and
-# a closed-form root that is not finite reads 0 or tau0, where no window closes.
+# a root estimate that is not finite reads 0 or tau0, where no window closes.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _equal_area_roots(pulse, c, x, J):
     """Smallest root tau_- of F = c v^2 J - B for each pair of x and J = J(x)."""
@@ -398,7 +426,7 @@ def _equal_area_roots(pulse, c, x, J):
     taus, live = np.empty_like(J), np.arange(J.size)  # the roots, and the entries still open
     if pulse._root is not None:
         tau = pulse._root(c * J)
-        # The 2K+1 doubles nearest the closed form, by steps on the bit pattern (it orders
+        # The 2K+1 doubles nearest the estimate, by steps on the bit pattern (it orders
         # doubles >= 0); tau_- is the first with F <= 0 where F > 0 on every one below.
         bits = np.fmin(np.fmax(tau, 0.0), pulse.tau0).view(np.int64)  # NaN reads 0
         top = np.array(pulse.tau0).view(np.int64)
@@ -412,7 +440,7 @@ def _equal_area_roots(pulse, c, x, J):
             if not live.size:
                 return taus
     x, Jl = x[live], J[live]  # the rows still open, and their J
-    lo, hi, f_lo, f_hi = _scan_brackets(pulse, c, x, Jl)
+    _, lo, hi, f_lo, f_hi = _scan_cells(pulse, c, Jl, x)
     above = below = np.zeros(live.size, dtype=bool)  # which end moved last pass
     for n in itertools.count():
         mid = 0.5 * (lo + hi)
@@ -445,13 +473,14 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
     if not 0.0 < b < math.inf:
         raise DomainError("pulse integral b must be finite and positive")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 1.0):
-        raise DomainError("asymptotes need x > 1")
-    J = ray_integral(x, geom)
-    u = np.sqrt(4.0 * b / ((gas.gamma + 1.0) * J)) * psi(x, geom)
+    if x.size and not (x.min() > 1.0 and x.max() < math.inf):  # a NaN fails min() > 1
+        raise DomainError("asymptotes need finite x > 1")
+    g, rays, psi_x = gas.gamma, _RAYS[geom.j], _psi(x, geom.j)
+    with np.errstate(over="ignore", divide="ignore"):  # J rounds to 0 just above x = 1
+        u = np.sqrt(4.0 * b / ((g + 1.0) * rays[0](x))) * psi_x
     if not np.isfinite(u).all():
         raise DomainError(f"the shock velocity jump overflows for b = {b}")
-    return as_scalar(u, far_field_gradient(x, gas, geom))
+    return as_scalar(u, 2.0 / (g + 1.0) * (psi_x / rays[1](x)))  # far_field_gradient
 
 
 def ruw_state(u, gas=GasParams()):
@@ -474,7 +503,7 @@ def ruw_state(u, gas=GasParams()):
 def simple_wave_u(rhs, gas=GasParams()):
     """Invert u (1 + (gamma-1)u/2)^(2/(gamma-1)) = rhs for u >= 0.
 
-    Below rhs = 1: safeguarded Newton iteration from the inverse series
+    Below rhs = 1: Newton iteration from the inverse series
     u = r - r^2 + (3+a)/2 r^3, a = (gamma-1)/2, or where that leaves (0, r] from
     the root of u (1 + u) = r, to |residual| < 1e-13.  From rhs = 1 on: Newton in
     log u on G = log(map(u)/rhs), convex in log u, from u = rhs, with one more step
@@ -499,10 +528,15 @@ def simple_wave_u(rhs, gas=GasParams()):
             if abs(G) < tol:
                 return u
         raise FittingError(f"inversion failed to reach relative residual {tol:.3g}")
+    # No safeguard is needed: phi(u) = u (1 + a u)^(1/a) has phi' >= 1, phi(0) = 0 < r and
+    # phi''/phi = (2/u + 1 + a)/(1 + a u)^2 > 0, so every iterate is positive, and each after
+    # the first lies right of the root and falls; from u0 <= r a first step from the left ends
+    # at most at u0 + r - phi(u0) <= r.  And phi(u) < 2 r (res < r): phi(r) <= r e^r under the
+    # series (r < 2/3); from u (1 + u) = r at gamma <= 3, u0 is right of the root and
+    # phi(u0) <= u0 e^u0 < 1.15 r; at gamma > 3, phi(u) <= u (1 + u) < 2 r.
     e1 = (3.0 - g) / (g - 1.0)  # 2/(gamma-1) - 1
     tol = 0.5 * ROOT_RESIDUAL_TOL  # half: room for a caller's residual in another rounding
-    lo, hi = 0.0, r  # the map grows at least linearly, so the root is <= rhs
-    u = r - r * r + 0.5 * (3.0 + a) * r**3  # > r from r = 2/3 on
+    u = r - r * r + 0.5 * (3.0 + a) * r**3  # > r from r = 2/(3 + a) on
     if not 0.0 < u <= r:
         u = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r))
     for _ in range(100):
@@ -511,15 +545,5 @@ def simple_wave_u(rhs, gas=GasParams()):
         res = u * s * p - r
         if abs(res) < tol:
             return u
-        if res > 0.0:
-            hi = u
-        else:
-            lo = u
-        if res > r:  # far above the root, Newton in u crawls down the steep power
-            u_new = u * math.exp(-math.log1p(res / r) / (1.0 + u / s))  # Newton in log u
-        else:
-            u_new = u - res / (p * (s + u))
-        if not lo < u_new < hi:
-            u_new = 0.5 * (lo + hi)
-        u = u_new
+        u -= res / (p * (s + u))
     raise FittingError(f"inversion failed to reach residual {ROOT_RESIDUAL_TOL}")

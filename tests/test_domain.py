@@ -71,6 +71,8 @@ CALLS = {
     "compare_methods.k": lambda v: sd.compare_methods(GAS, [CYL], 0.05, v, 1e4),
     "compare_methods.x_end": lambda v: sd.compare_methods(GAS, [CYL], 0.05, 1.0, v),
 }
+for j in (0, 2):  # wngo_decay checks x itself, in every geometry (cylindrical above)
+    CALLS[f"wngo_decay.x[{j}]"] = lambda v, g=sd.Geometry(j): sd.wngo_decay(0.1, GAS, g, v)
 for j in (0, 1, 2):  # psi and J are checked in every geometry, also where x is unused
     geom = sd.Geometry(j)
     CALLS[f"psi.x[{j}]"] = lambda v, g=geom: sd.psi(v, g)
@@ -92,11 +94,18 @@ def test_non_finite_input_raises_domain_error(name, value):
 # compare-methods defaults, the finite data that command exits 2 on.  Sample
 # counts are checked like --samples: an integer in [2, MAX_SAMPLES].  A
 # geometry index must be an integer, and decay_slope's x and y one shape.
+# wngo_decay refuses x = 1, where J = 0, in every geometry, and x just above 1
+# where the cylindrical J = 2(sqrt(x) - 1) rounds to 0.
 COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
 SCEN = sd.Scenario(GAS, CYL)
 LARGE_FINITE = {
     "asymptotic_law.h_over_k": lambda: sd.asymptotic_law(2.0, 1e300, 1e-300),
     "wngo_decay.b": lambda: sd.wngo_decay(1e308, x=1.0000001),
+    "wngo_decay.b_array": lambda: sd.wngo_decay(1e300, x=[1.0 + 1e-12, 2.0]),
+    "wngo_decay.x=1[0]": lambda: sd.wngo_decay(0.1, GAS, sd.Geometry(0), 1.0),
+    "wngo_decay.x=1[1]": lambda: sd.wngo_decay(0.1, GAS, CYL, [2.0, 1.0]),
+    "wngo_decay.x=1[2]": lambda: sd.wngo_decay(0.1, GAS, SPH, 1.0),
+    "wngo_decay.x_above_1[1]": lambda: sd.wngo_decay(0.1, GAS, CYL, np.nextafter(1.0, 2.0)),
     "ruw_state.u": lambda: sd.ruw_state(1e300),
     "jumps_from_mach.mach": lambda: sd.jumps_from_mach(1e200),
     "mu_nu.mach": lambda: sd.mu_nu(1e200),

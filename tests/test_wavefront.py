@@ -338,6 +338,12 @@ FIT_CALL_BUDGET = 64
 # nearest for the rows left, one for the fitted state.  On planar grids from
 # 1.1 x_form to 1e12 no row goes on to the scan (which took 44 calls).
 ANALYTIC_FIT_CALL_BUDGET = 5
+# A table pulse reads its root off the same windows around a Newton estimate
+# on each row's PCHIP segment.  Counted in passes over the PCHIP polynomials
+# (Horner evaluations): two for the scan that finds the segments, at most
+# eight Newton passes, two per window, one for the fitted state.  A row that
+# went on to the scan would add two, and two per Illinois pass.
+TABLE_FIT_PASS_BUDGET = 2 + 8 + 2 * 2 + 1
 
 
 def _counted_pulse_calls(pulse):
@@ -369,14 +375,22 @@ def _pulse(kind, v0=0.05, tau0=1.0):
 
 @pytest.mark.parametrize("n", [120, 1200])
 @pytest.mark.parametrize("kind", ["half-sine", "ramp", "table", "custom"])
-def test_fit_shock_cost_is_independent_of_grid_size(kind, n):
+def test_fit_shock_cost_is_independent_of_grid_size(kind, n, monkeypatch):
     pulse = _pulse(kind)
-    calls = _counted_pulse_calls(pulse)
+    calls, passes, horner = _counted_pulse_calls(pulse), [0], wavefront._horner
+
+    def counted(coeffs, s):
+        passes[0] += 1
+        return horner(coeffs, s)
+
+    monkeypatch.setattr(wavefront, "_horner", counted)
     x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e12, n)
     fit_shock(pulse, GAS, PLANAR, x)
     assert calls[0] < FIT_CALL_BUDGET
     if kind in ("half-sine", "ramp"):
         assert calls[0] <= ANALYTIC_FIT_CALL_BUDGET
+    if kind == "table":
+        assert passes[0] <= TABLE_FIT_PASS_BUDGET
 
 
 @pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
@@ -397,14 +411,17 @@ def test_fit_shock_closes_brackets_to_adjacent_doubles(kind, geom):
 
 
 def _recorded_scans(monkeypatch):
-    """The J arrays that fits hand to the tau scan, recorded per call."""
-    scans, scan_brackets = [], wavefront._scan_brackets
+    """The J arrays that fits hand to the tau scan, recorded per call.  A table
+    pulse's root estimate scans too, to find each row's PCHIP segment; it
+    passes no positions, as it refuses no row, and is not recorded."""
+    scans, scan_cells = [], wavefront._scan_cells
 
-    def recorded(pulse, c, x, J):
-        scans.append(J)
-        return scan_brackets(pulse, c, x, J)
+    def recorded(pulse, c, J, x=None):
+        if x is not None:
+            scans.append(J)
+        return scan_cells(pulse, c, J, x)
 
-    monkeypatch.setattr(wavefront, "_scan_brackets", recorded)
+    monkeypatch.setattr(wavefront, "_scan_cells", recorded)
     return scans
 
 
@@ -479,8 +496,10 @@ def test_near_formation_brackets_fall_back_to_the_scan(shape, monkeypatch):
 
 
 def _closed_form_window(pulse, c, J, K):
-    """The 2K+1 doubles nearest the closed-form root per J, within [0, tau0]."""
-    bits = np.fmin(np.fmax(pulse._root(c * J), 0.0), pulse.tau0).view(np.int64)
+    """The 2K+1 doubles nearest the pulse's root estimate per J (its closed
+    form, or for a table its PCHIP-segment Newton estimate), within [0, tau0]."""
+    with np.errstate(divide="ignore"):  # as in fit_shock: R = B/v^2 at v(tau0) = 0
+        bits = np.fmin(np.fmax(pulse._root(c * J), 0.0), pulse.tau0).view(np.int64)
     top = np.array(pulse.tau0).view(np.int64)
     return np.clip(bits[:, None] + np.arange(-K, K + 1), 0, top).view(float)
 
@@ -506,6 +525,69 @@ def test_window_root_is_the_first_sign_change(shape):
             np.testing.assert_array_equal(tau[rows], t[rows, first[rows]])
             open_ &= ~rows
         assert not open_.any()  # from 1.1 x_form every row closes in a window
+
+
+def _sweep_table(rng):
+    """A table pulse v0 sin(pi s)(1 + a sin pi s + b sin 2 pi s) on 50 knots, in
+    the fit_sweep benchmark's shape and parameter ranges, with its samples."""
+    s = np.linspace(0.0, 1.0, 50)
+    v0, a, b = rng.uniform(0.03, 0.2), rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)
+    values = v0 * np.sin(np.pi * s) * (1.0 + a * np.sin(np.pi * s) + b * np.sin(2.0 * np.pi * s))
+    values[0] = values[-1] = 0.0
+    return BoundaryPulse.from_table(s, values), s, values
+
+
+def _pchip_oracle(taus, values, cJ):
+    """Smallest root of c v^2 J - B per cJ, with v and B scipy's PCHIP and its
+    antiderivative: bracketed by a test-side scan, found by brentq."""
+    v = PchipInterpolator(taus, values)
+    B = v.antiderivative()
+    scan, roots = np.linspace(0.0, taus[-1], 4001), []
+    for cJi in cJ:
+
+        def F(t):
+            return cJi * v(t) ** 2 - B(t)
+
+        i = np.argmax(F(scan[1:]) <= 0.0)
+        assert i > 0  # F(scan[i]) > 0 >= F(scan[i + 1]) brackets the root
+        roots.append(brentq(F, scan[i], scan[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps))
+    return roots
+
+
+@pytest.mark.parametrize("geom", [PLANAR, CYL, SPH], ids=lambda g: g.name)
+def test_table_pulse_fit_reads_its_root_off_the_windows(geom, monkeypatch):
+    # Seeded fit_sweep-shaped tables and gamma, from 1.1 x_form: tau_- is the
+    # brentq root on scipy's PCHIP, every row closes to adjacent doubles, and
+    # the tau scan gets exactly the rows that neither window around the
+    # PCHIP-segment estimate closes, which are few.  Each row's estimate has
+    # the same bits in a batch as alone, so a batch fit is the single fits.
+    scans = _recorded_scans(monkeypatch)
+    rng = np.random.default_rng(230 + geom.j)
+    scanned = rows = 0
+    for _ in range(3):
+        gas = GasParams(rng.uniform(1.1, 5.0 / 3.0))
+        pulse, taus, values = _sweep_table(rng)
+        x_form = formation_distance(pulse, gas, geom)
+        x = np.geomspace(1.1 * x_form, max(1e12, 1e3 * x_form), 40)
+        tau = fit_shock(pulse, gas, geom, x).tau_minus
+        c, J = 0.25 * (gas.gamma + 1.0), ray_integral(x, geom)
+        np.testing.assert_allclose(tau, _pchip_oracle(taus, values, c * J), rtol=1e-13)
+        assert np.all(area_rule_residual(pulse, gas, geom, x, tau) <= 0.0)
+        assert np.all(area_rule_residual(pulse, gas, geom, x, np.nextafter(tau, 0.0)) > 0.0)
+        open_ = np.ones(x.size, dtype=bool)
+        for K in (4, 128):
+            t = _closed_form_window(pulse, c, J, K)
+            f = area_rule_residual(pulse, gas, geom, x[:, None], t)
+            first = np.argmin(f > 0.0, axis=1)
+            open_ &= ~((first > 0) & (f[np.arange(x.size), first] <= 0.0))
+        np.testing.assert_array_equal(np.concatenate(scans or [[]]), J[open_])
+        scans.clear()
+        scanned, rows = scanned + np.count_nonzero(open_), rows + x.size
+        with np.errstate(divide="ignore"):  # as in fit_shock: R = B/v^2 at v(tau0) = 0
+            estimate = pulse._root(c * J)
+            alone = [pulse._root(c * J[i : i + 1])[0] for i in range(x.size)]
+        np.testing.assert_array_equal(estimate.view(np.int64), np.array(alone).view(np.int64))
+    assert scanned <= 0.02 * rows
 
 
 def _stage_counts(pulse, scans):
@@ -826,6 +908,23 @@ def test_wngo_decay_laws():
         wngo_decay(0.0, GAS, PLANAR, 10.0)
     with pytest.raises(DomainError):
         wngo_decay(b, GAS, PLANAR, 0.5)
+
+
+def test_wngo_decay_is_the_public_composition():
+    # wngo_decay checks b and x once, then calls the kernels: its answer is
+    # the checked public ray_integral, psi and far_field_gradient bit for bit,
+    # on a seeded grid in every geometry, for arrays and for scalars.
+    rng = np.random.default_rng(64)
+    x = np.sort(1.0 + 10.0 ** rng.uniform(-12.0, 17.0, 400))
+    for geom in (PLANAR, CYL, SPH):
+        gas, b = GasParams(rng.uniform(1.01, 5.0)), 10.0 ** rng.uniform(-8.0, 2.0)
+        u, ux = wngo_decay(b, gas, geom, x)
+        J = ray_integral(x, geom)
+        np.testing.assert_array_equal(u, np.sqrt(4.0 * b / ((gas.gamma + 1.0) * J)) * psi(x, geom))
+        np.testing.assert_array_equal(ux, far_field_gradient(x, gas, geom))
+        for i in range(0, x.size, 40):
+            scalar = wngo_decay(b, gas, geom, float(x[i]))
+            assert scalar == (u[i], ux[i]) and all(type(v) is float for v in scalar)
 
 
 def test_ruw_state_invariants():
