@@ -109,31 +109,21 @@ def cmd_asymptote(args):
 
 def cmd_table1(args):
     gas = GasParams(args.gamma)
-    rows = []
+    cases = []  # per reference case, the CSV columns h, k, x and the six error columns
     for case in REFERENCE_CASES:
         p, px = closed_form(REFERENCE_X, case.h, case.k, gas)
         p_ref, px_ref = leading_order_reference(REFERENCE_X, case.h, case.k, gas)
         p_err, px_err = np.abs(p - p_ref), np.abs(px - px_ref)
-        for x, p_c, p_r, px_c, px_r in zip(REFERENCE_X, p_err, case.p_err, px_err, case.px_err):
-            rows.append(
-                (
-                    case.h,
-                    case.k,
-                    x,
-                    p_c,
-                    p_r,
-                    (p_c - p_r) / p_r,
-                    px_c,
-                    px_r,
-                    (px_c - px_r) / px_r,
-                )
-            )
+        p_tab, px_tab = np.array(case.p_err), np.array(case.px_err)  # the bundled errors
+        errs = (p_err, p_tab, (p_err - p_tab) / p_tab, px_err, px_tab, (px_err - px_tab) / px_tab)
+        cases.append((np.full_like(REFERENCE_X, case.h), np.full_like(REFERENCE_X, case.k),
+                      REFERENCE_X, *errs))
         print(f"parameter set h = {case.h}, k = {case.k} (gamma = {args.gamma}, planar)")
         print(
             f"  {'x':>8}  {'p_err':>12} {'p_err_ref':>12} {'dev':>8}"
             f"  {'px_err':>12} {'px_err_ref':>12} {'dev':>8}"
         )
-        for h, k, x, p_c, p_r, p_d, px_c, px_r, px_d in rows[-len(REFERENCE_X):]:
+        for x, p_c, p_r, p_d, px_c, px_r, px_d in zip(REFERENCE_X, *errs):
             print(
                 f"  {x:>8.4g}  {p_c:>12.4e} {p_r:>12.4e} {p_d:>+8.2%}"
                 f"  {px_c:>12.4e} {px_r:>12.4e} {px_d:>+8.2%}"
@@ -142,7 +132,7 @@ def cmd_table1(args):
         write_csv(
             args.out,
             "h,k,x,p_err,p_err_ref,p_err_dev,px_err,px_err_ref,px_err_dev",
-            tuple(np.array(col) for col in zip(*rows)),
+            [np.concatenate(col) for col in zip(*cases)],
         )
         print(f"wrote {args.out}")
     return 0

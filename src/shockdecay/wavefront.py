@@ -98,6 +98,8 @@ def _panel_integral(v, tau0):
         mid = 0.5 * (a + b)
         whole = gauss_legendre(v, a, b)
         halves = gauss_legendre(v, a, mid) + gauss_legendre(v, mid, b)
+        if np.isnan(halves).any():  # else the tolerance is NaN and no panel reads as bad
+            raise DomainError("pulse v is NaN inside (0, tau0)")
         bad = np.abs(whole - halves) > 1e-13 * np.sum(np.abs(halves))
         if not bad.any() or edges.size > 4096:
             break
@@ -382,6 +384,8 @@ def _scan_cells(pulse, c, J, x=None):
     given the positions x, a J with no root raises FittingError."""
     scan = np.union1d(np.linspace(0.0, pulse.tau0, 400), pulse.knots)
     cv2 = c * pulse.v(scan[1:]) ** 2
+    if np.isnan(cv2).any():  # a NaN v^2 reads as R = +inf; a +inf v^2 keeps F's sign
+        raise DomainError("pulse v is NaN inside (0, tau0]")
     B = pulse.v_integral(scan[1:])
     R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
     cell = np.searchsorted(np.maximum.accumulate(R), J)
@@ -510,8 +514,11 @@ def simple_wave_u(rhs, gas=GasParams()):
     once |G| < 8 eps (1 + log rhs).  G rounds to ~eps log rhs, so the relative
     residual is only held below 4 eps (1 + log rhs), 6.3e-13 at the largest double.
     """
-    if not 0.0 <= rhs < math.inf:
-        raise DomainError("rhs must be finite and >= 0 (the expansive branch is out of scope)")
+    # A float or np.float64 skips np.ndim, which costs more than the arithmetic below.
+    if not (isinstance(rhs, float) or np.ndim(rhs) == 0) or not 0.0 <= rhs < math.inf:
+        raise DomainError(
+            "rhs must be a finite scalar >= 0 (the expansive branch is out of scope)"
+        )
     r = float(rhs)
     if r == 0.0:
         return 0.0

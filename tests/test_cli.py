@@ -6,6 +6,7 @@ numerical failure, 4 partial comparison report.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -333,6 +334,21 @@ def test_table1_reports_both_sets(tmp_path, capsys):
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert data.shape == (26,)
     assert set(data["k"]) == {10.0, 0.28}
+
+
+def test_table1_bytes_are_pinned(tmp_path, capsys):
+    # The values come from IEEE +, *, / and sqrt on fixed inputs, so the bytes
+    # hold on every platform.  The last stdout line names the CSV path.
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--out", str(out)]) == 0
+    *lines, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {out}\n"
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "98a2f426ba9059845ce5cf7055f34d4c293da488f1c76c3f0199f7cc98996ac1"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f00dc93d4372ff4719ad517c2c2bba45a4a6b014cc8af855518beea24a1e230c"
+    )
 
 
 def test_fit_shock_csv(tmp_path):

@@ -94,6 +94,7 @@ def test_non_finite_input_raises_domain_error(name, value):
 # compare-methods defaults, the finite data that command exits 2 on.  Sample
 # counts are checked like --samples: an integer in [2, MAX_SAMPLES].  A
 # geometry index must be an integer, and decay_slope's x and y one shape.
+# simple_wave_u takes a scalar rhs, not an array or a list.
 # wngo_decay refuses x = 1, where J = 0, in every geometry, and x just above 1
 # where the cylindrical J = 2(sqrt(x) - 1) rounds to 0.
 COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
@@ -151,6 +152,8 @@ LARGE_FINITE = {
     ),
     "Geometry.j=1.0": lambda: sd.Geometry(1.0),
     "decay_slope.shapes": lambda: sd.decay_slope([1.0, 2.0, 3.0], [1.0, 2.0]),
+    "simple_wave_u.rhs_array": lambda: sd.simple_wave_u(np.array([0.1, 0.2])),
+    "simple_wave_u.rhs_list": lambda: sd.simple_wave_u([0.1]),
 }
 
 

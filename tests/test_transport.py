@@ -352,6 +352,12 @@ def test_closed_form_past_breakdown_raises():
         closed_form(xs + 0.1, 0.1, -1.0, GAS, PLANAR)
 
 
+def test_leading_order_reference_past_breakdown_raises():
+    # Planar J = x - 1: 1 + (gamma+1) k J/2 is 1 - 1.2 * 999 < 0 at x = 1e3.
+    with pytest.raises(BreakdownError):
+        leading_order_reference(1e3, 0.1, -1.0)
+
+
 def test_asymptotic_law_structure():
     x = np.geomspace(10.0, 1e4, 7)
     for j, power in ((0, -0.5), (1, -0.75)):

@@ -331,7 +331,8 @@ def test_table_pulse_fit_is_exact_pchip_root(geom):
 
 # Pulse calls per fit: three for the scan (v, and v_integral with the
 # integral inside it), two a pass of the root finder (v and the integral),
-# one for the fitted state.  Bisection to adjacent doubles takes ~100.
+# one for the fitted state.  The custom pulse takes the most here: 44 calls,
+# 20 Illinois passes to adjacent doubles.
 FIT_CALL_BUDGET = 64
 # A half-sine or ramp pulse reads its root off the doubles nearest its closed
 # form instead of scanning: two calls over the 9 nearest, two over the 257
@@ -404,7 +405,8 @@ def test_fit_shock_closes_brackets_to_adjacent_doubles(kind, geom):
     x = np.geomspace(1.0001 * formation_distance(pulse, GAS, geom), 1e12, 200)
     tau = fit_shock(pulse, GAS, geom, x).tau_minus
     # Near formation the root is a near-double root, where each pass gains
-    # less; bisection takes 52-61 passes there.
+    # less: the spherical half-sine takes the most, 78 calls, 35 Illinois
+    # passes after the two windows and the scan.
     assert calls[0] < 2 * 55 + 4
     assert np.all(area_rule_residual(pulse, GAS, geom, x, tau) <= 0.0)
     assert np.all(area_rule_residual(pulse, GAS, geom, x, np.nextafter(tau, 0.0)) > 0.0)
@@ -707,6 +709,37 @@ def test_quadrature_fallback_refuses_an_unresolvable_pulse():
 
     with pytest.raises(DomainError, match="panels"):
         BoundaryPulse(v, 1.0, vdot0=0.05 * np.pi)
+
+
+def _half_sine_nan_on(inside):
+    """v = 0.05 sin(pi tau), NaN where inside(tau)."""
+
+    def v(tau):
+        return np.where(inside(tau), np.nan, 0.05 * np.sin(np.pi * tau))
+
+    return v
+
+
+def test_quadrature_refuses_a_pulse_that_is_nan_inside():
+    # A NaN in the half-panel sums would make the tolerance NaN, so that no
+    # panel reads as bad and the integral is taken after one pass.
+    v = _half_sine_nan_on(lambda tau: np.abs(tau - 0.4) < 1e-3)
+    with pytest.raises(DomainError, match="NaN"):
+        BoundaryPulse(v, 1.0)
+
+
+def test_fit_refuses_a_pulse_that_is_nan_inside_the_scan():
+    # With its exact integral the pulse skips the quadrature.  A NaN v^2 would
+    # read as R = +inf, and the scan would bracket the NaN region: tau_- up to
+    # 55% off on 197 of these 200 rows.
+    def integral(tau):
+        return 0.05 / np.pi * (1.0 - np.cos(np.pi * tau))
+
+    v = _half_sine_nan_on(lambda tau: (tau > 0.45) & (tau < 0.46))
+    pulse = BoundaryPulse(v, 1.0, vdot0=0.05 * np.pi, integral=integral)
+    x = np.geomspace(1.1 * formation_distance(pulse, GAS, PLANAR), 1e12, 200)
+    with pytest.raises(DomainError, match="NaN"):
+        fit_shock(pulse, GAS, PLANAR, x)
 
 
 def test_two_hump_pulse_takes_smallest_root():
