@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, _u_p_jumps, as_scalar,
-                   check_samples, check_x_end, log_grid, write_csv)
+from .core import (MAX_MACH, GasParams, Geometry, _is_real, _machs, _mu_nu, _u_p_jumps,
+                   as_scalar, check_samples, check_x_end, log_grid, write_csv)
 from .errors import DomainError, SolverError
 
 # A history ends once U - 1 falls below this floor (the shock has
@@ -127,7 +127,7 @@ def integrate_ccw_geometries(
     is an elementwise closed form with its own step test, so each history
     is integrate_ccw's.
     """
-    if not 1.0 + WEAK_LIMIT_FLOOR < U0 <= MAX_MACH:
+    if not (_is_real(U0) and 1.0 + WEAK_LIMIT_FLOOR < U0 <= MAX_MACH):
         raise DomainError(
             f"initial Mach number must exceed 1 + {WEAK_LIMIT_FLOOR:g} and be <= {MAX_MACH:g}"
         )

@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw_geometries
-from .core import log_grid, mach_from_p_jump
+from .core import _is_real, log_grid, mach_from_p_jump
 from .errors import DomainError, ShockError
 from .transport import (
     Scenario,
@@ -145,9 +145,9 @@ def compare_methods(gas, geometries, h, k, x_end, out_dir=None):
     exist.  Given out_dir, creates it and writes each route's CSVs there.  Bad
     data raises DomainError; the geometries iterable is read after h and k are checked.
     """
-    if not 0.0 < h <= 0.1:
+    if not (_is_real(h) and 0.0 < h <= 0.1):
         raise DomainError(f"compare-methods needs 0 < h <= 0.1 (weak data), got {h}")
-    if not 0.0 < k < math.inf:
+    if not (_is_real(k) and 0.0 < k < math.inf):
         raise DomainError("compare-methods needs a finite k > 0 for the precursor branch")
     geometries = list(geometries)
     if not geometries or len(set(geometries)) < len(geometries):

@@ -35,7 +35,7 @@ MAX_SAMPLES = 1_000_000
 
 def check_x_end(x_end):
     """Raise DomainError unless 1 < x_end <= MAX_X_END."""
-    if not 1.0 < x_end <= MAX_X_END:
+    if not (_is_real(x_end) and 1.0 < x_end <= MAX_X_END):
         raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}], got {x_end}")
 
 
@@ -45,6 +45,11 @@ def check_samples(n_samples):
         raise DomainError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples}")
 
 
+def _is_real(v):
+    """True for one real number: a Python or numpy real scalar, or a 0-d real array."""
+    return isinstance(v, numbers.Real) or np.ndim(v) == 0 and np.asarray(v).dtype.kind in "fiu"
+
+
 @dataclass(frozen=True)
 class GasParams:
     """Ideal-gas description; gamma is the ratio of specific heats."""
@@ -52,7 +57,7 @@ class GasParams:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not 1.0 < self.gamma <= MAX_GAMMA:
+        if not (_is_real(self.gamma) and 1.0 < self.gamma <= MAX_GAMMA):
             raise DomainError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma}")
 
 
@@ -135,7 +140,10 @@ def log_grid(a, b, n):
 
 def _finite_from(values, lo, name, hi=np.finfo(float).max):
     """values as a float array; DomainError unless each is finite and in [lo, hi]."""
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # not numbers: refused by the range check below
+        values = np.array(np.nan)
     # A NaN fails min() >= lo; two reductions cost less than np.all of a comparison.
     if values.size and not (values.min() >= lo and values.max() <= hi):
         upper = f" and <= {hi:g}" if hi < np.finfo(float).max else ""

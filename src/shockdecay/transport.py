@@ -35,6 +35,7 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _is_real,
     _machs,
     _positions,
     _psi,
@@ -245,11 +246,10 @@ class ShockHistory:
 
 
 def _finite_jumps(h, k):
-    """Raise DomainError unless the initial jumps h and k are finite."""
-    if not math.isfinite(h):
-        raise DomainError(f"initial pressure jump h must be finite, got {h}")
-    if not math.isfinite(k):
-        raise DomainError(f"initial gradient jump k must be finite, got {k}")
+    """Raise DomainError unless the initial jumps h and k are finite real numbers."""
+    for name, v in (("pressure jump h", h), ("gradient jump k", k)):
+        if not (_is_real(v) and math.isfinite(v)):
+            raise DomainError(f"initial {name} must be finite, got {v}")
 
 
 def _closed_form_jumps(x, h, k, gas, geom, leading=False):
@@ -363,10 +363,8 @@ REFERENCE_CASES = (
 
 
 def _sample_grid(x_end, n_samples):
-    """Log-spaced samples on [1, x_end] merged with the reference abscissae."""
-    xs = log_grid(1.0, x_end, n_samples)
-    marks = REFERENCE_X[REFERENCE_X <= x_end]
-    return np.unique(np.concatenate(([1.0], xs, marks, [x_end])))
+    """n_samples log-spaced positions on [1, x_end], less the repeats of a tiny x_end - 1."""
+    return np.unique(log_grid(1.0, x_end, n_samples))
 
 
 def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=200):
@@ -378,19 +376,18 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     position x* with I(x*) = 0 is recorded as breakdown.
     """
     check_samples(n_samples)
-    xs = _sample_grid(scen.x_end, n_samples)
-    # I(x) exactly as _closed_form_jumps evaluates it, so no kept sample raises.
-    I = 1.0 + 0.5 * (scen.gas.gamma + 1.0) * scen.k * ray_integral(xs, scen.geom)
-    x = xs[I > 0.0]
-    p, px = closed_form(x, scen.h, scen.k, scen.gas, scen.geom)
-    breakdown = None
-    if x.size < xs.size:  # I reached zero at or before x_end
-        breakdown = breakdown_distance(scen.h, scen.k, scen.gas, scen.geom)
-    if scen.k > 0.0:
+    xs = _sample_grid(scen.x_end, n_samples)  # checked by construction, as is scen
+    h, k, gas, geom = scen.h, scen.k, scen.gas, scen.geom
+    # I(x) exactly as _closed_form_jumps evaluates it, so every kept sample has I > 0;
+    # a dropped sample means I reached zero at or before x_end.
+    x = xs[1.0 + 0.5 * (gas.gamma + 1.0) * k * _RAYS[geom.j][0](xs) > 0.0]
+    p, px = _closed_form_jumps(x, h, k, gas, geom)
+    breakdown = breakdown_distance(h, k, gas, geom) if x.size < xs.size else None
+    if k > 0.0:
         if convention is AsymptoteConvention.LEADING:
-            p_ref, px_ref = leading_order_reference(x, scen.h, scen.k, scen.gas, scen.geom)
+            p_ref, px_ref = _closed_form_jumps(x, h, k, gas, geom, leading=True)
         else:
-            p_ref, px_ref = asymptotic_law(x, scen.h, scen.k, scen.gas, scen.geom)
+            p_ref, px_ref = asymptotic_law(x, h, k, gas, geom)
     else:
         p_ref = np.full_like(x, np.nan)
         px_ref = np.full_like(x, np.nan)

@@ -30,6 +30,7 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _is_real,
     _psi,
     as_scalar,
     gauss_legendre,
@@ -98,8 +99,8 @@ def _panel_integral(v, tau0):
         mid = 0.5 * (a + b)
         whole = gauss_legendre(v, a, b)
         halves = gauss_legendre(v, a, mid) + gauss_legendre(v, mid, b)
-        if np.isnan(halves).any():  # else the tolerance is NaN and no panel reads as bad
-            raise DomainError("pulse v is NaN inside (0, tau0)")
+        if not np.isfinite(halves).all():  # a NaN tolerance passes every panel; inf - inf warns
+            raise DomainError("pulse v is NaN inside (0, tau0), or its integral overflows")
         bad = np.abs(whole - halves) > 1e-13 * np.sum(np.abs(halves))
         if not bad.any() or edges.size > 4096:
             break
@@ -139,7 +140,7 @@ class BoundaryPulse:
     _root = None  # smallest root tau_-(c J) of the area rule, closed form or estimate
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
-        if not 0.0 < tau0 < math.inf:
+        if not (_is_real(tau0) and 0.0 < tau0 < math.inf):
             raise DomainError("pulse duration tau0 must be finite and positive")
         self.v = v
         self.tau0 = float(tau0)
@@ -148,12 +149,15 @@ class BoundaryPulse:
             raise DomainError("pulse must vanish at tau0 (limiting characteristic)")
         if vdot0 is None:
             step = 1e-6 * self.tau0
-            vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
+                vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
+        if not (_is_real(vdot0) and math.isfinite(vdot0)):  # before building the integral
+            raise DomainError("pulse head slope and pulse integral must be finite")
         self.vdot0 = float(vdot0)
         self._integral = _panel_integral(v, self.tau0) if integral is None else integral
         self._b0 = self._integral(0.0)
         self.b = self.v_integral(self.tau0)
-        if not (math.isfinite(self.vdot0) and math.isfinite(self.b)):
+        if not math.isfinite(self.b):
             raise DomainError("pulse head slope and pulse integral must be finite")
 
     def v_integral(self, tau):
@@ -167,9 +171,9 @@ class BoundaryPulse:
     @classmethod
     def half_sine(cls, v0, tau0):
         """v(tau) = v0 sin(pi tau / tau0)."""
-        if not 0.0 < tau0 < math.inf:
+        if not (_is_real(tau0) and 0.0 < tau0 < math.inf):
             raise DomainError("pulse duration tau0 must be finite and positive")
-        if not math.isfinite(v0):
+        if not (_is_real(v0) and math.isfinite(v0)):
             raise DomainError("pulse amplitude v0 must be finite")
         w = np.pi / tau0
 
@@ -189,7 +193,7 @@ class BoundaryPulse:
     @classmethod
     def linear_ramp(cls, m, tau0):
         """v(tau) = m tau (1 - tau/tau0): linear head, ramp back to zero."""
-        if not math.isfinite(m):
+        if not (_is_real(m) and math.isfinite(m)):
             raise DomainError("ramp slope m must be finite")
 
         def v(tau):
@@ -474,7 +478,7 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
 
     b is the (bounded) integral of the boundary pulse.
     """
-    if not 0.0 < b < math.inf:
+    if not (_is_real(b) and 0.0 < b < math.inf):
         raise DomainError("pulse integral b must be finite and positive")
     x = np.asarray(x, dtype=float)
     if x.size and not (x.min() > 1.0 and x.max() < math.inf):  # a NaN fails min() > 1
@@ -515,7 +519,7 @@ def simple_wave_u(rhs, gas=GasParams()):
     residual is only held below 4 eps (1 + log rhs), 6.3e-13 at the largest double.
     """
     # A float or np.float64 skips np.ndim, which costs more than the arithmetic below.
-    if not (isinstance(rhs, float) or np.ndim(rhs) == 0) or not 0.0 <= rhs < math.inf:
+    if not (isinstance(rhs, float) or _is_real(rhs)) or not 0.0 <= rhs < math.inf:
         raise DomainError(
             "rhs must be a finite scalar >= 0 (the expansive branch is out of scope)"
         )

@@ -23,12 +23,14 @@ from shockdecay import (
     Geometry,
     Scenario,
     breakdown_distance,
+    closed_form,
     decay_slope,
     first_order_coefficients,
     fit_shock,
     g_classic,
     g_generalized,
     integrate_truncated,
+    leading_order_reference,
     ray_integral,
 )
 from shockdecay.cli import main
@@ -45,12 +47,10 @@ def reference_table_deviations():
     start = time.perf_counter()
     out = {}
     for case in REFERENCE_CASES:
-        scen = Scenario(gas=GAS, geom=Geometry(0), h=case.h, k=case.k, x_end=100.0)
-        hist = integrate_truncated(scen)
-        idx = np.searchsorted(hist.x, REFERENCE_X)
-        assert np.array_equal(hist.x[idx], REFERENCE_X)
-        out[(case.k, "p")] = hist.p_err[idx] / np.asarray(case.p_err) - 1.0
-        out[(case.k, "px")] = hist.px_err[idx] / np.asarray(case.px_err) - 1.0
+        p, px = closed_form(REFERENCE_X, case.h, case.k, GAS)
+        p_ref, px_ref = leading_order_reference(REFERENCE_X, case.h, case.k, GAS)
+        out[(case.k, "p")] = np.abs(p - p_ref) / np.asarray(case.p_err) - 1.0
+        out[(case.k, "px")] = np.abs(px - px_ref) / np.asarray(case.px_err) - 1.0
     out["elapsed"] = time.perf_counter() - start
     return out
 

@@ -49,6 +49,10 @@ CALLS = {
     "breakdown_distance.k": lambda v: sd.breakdown_distance(0.1, v, GAS, CYL),
     "decay_slope.x": lambda v: sd.decay_slope([2.0, 3.0, v], [1.0, 2.0, 3.0]),
     "BoundaryPulse.tau0": lambda v: sd.BoundaryPulse(np.sin, v),
+    "BoundaryPulse.vdot0": lambda v: sd.BoundaryPulse(lambda t: np.sin(np.pi * t), 1.0, v),
+    "BoundaryPulse.integral": lambda v: sd.BoundaryPulse(
+        lambda t: np.sin(np.pi * t), 1.0, np.pi, lambda t: np.where(t > 0.0, v, 0.0)
+    ),
     "BoundaryPulse.half_sine.v0": lambda v: sd.BoundaryPulse.half_sine(v, 1.0),
     "BoundaryPulse.half_sine.tau0": lambda v: sd.BoundaryPulse.half_sine(0.05, v),
     "BoundaryPulse.linear_ramp.m": lambda v: sd.BoundaryPulse.linear_ramp(v, 1.0),
@@ -94,7 +98,8 @@ def test_non_finite_input_raises_domain_error(name, value):
 # compare-methods defaults, the finite data that command exits 2 on.  Sample
 # counts are checked like --samples: an integer in [2, MAX_SAMPLES].  A
 # geometry index must be an integer, and decay_slope's x and y one shape.
-# simple_wave_u takes a scalar rhs, not an array or a list.
+# simple_wave_u takes a scalar rhs, not an array or a list.  A pulse table
+# must start at tau = 0, increase, and not vanish everywhere.
 # wngo_decay refuses x = 1, where J = 0, in every geometry, and x just above 1
 # where the cylindrical J = 2(sqrt(x) - 1) rounds to 0.
 COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
@@ -154,6 +159,13 @@ LARGE_FINITE = {
     "decay_slope.shapes": lambda: sd.decay_slope([1.0, 2.0, 3.0], [1.0, 2.0]),
     "simple_wave_u.rhs_array": lambda: sd.simple_wave_u(np.array([0.1, 0.2])),
     "simple_wave_u.rhs_list": lambda: sd.simple_wave_u([0.1]),
+    "from_table.first_knot_above_0": lambda: sd.BoundaryPulse.from_table(
+        [0.1, 0.5, 1.0], [0.0, 0.1, 0.0]
+    ),
+    "from_table.repeated_knot": lambda: sd.BoundaryPulse.from_table(
+        [0.0, 0.5, 0.5, 1.0], [0.0, 0.1, 0.1, 0.0]
+    ),
+    "from_table.all_zero": lambda: sd.BoundaryPulse.from_table([0.0, 0.5, 1.0], [0.0] * 3),
 }
 
 
@@ -161,6 +173,56 @@ LARGE_FINITE = {
 def test_large_finite_input_raises_domain_error(name):
     with pytest.raises(sd.DomainError):
         LARGE_FINITE[name]()
+
+
+# Scalar arguments that are not one real number: a string, None, a complex
+# number, or an array of any shape but 0-d (a 0-d real array is a number).
+# Array arguments that numpy cannot turn into floats.
+PAIR = np.array([1.4, 1.5])
+NON_NUMBERS = {
+    "GasParams.gamma=str": lambda: sd.GasParams("1.4"),
+    "GasParams.gamma=array": lambda: sd.GasParams(PAIR),
+    "GasParams.gamma=1-element array": lambda: sd.GasParams(np.array([1.4])),
+    "closed_form.h=array": lambda: sd.closed_form(2.0, PAIR / 10.0, 1.0),
+    "closed_form.k=array": lambda: sd.closed_form(2.0, 0.1, PAIR),
+    "closed_form.h=str": lambda: sd.closed_form(2.0, "0.1", 1.0),
+    "Scenario.h=array": lambda: sd.Scenario(GAS, CYL, h=PAIR / 10.0),
+    "Scenario.k=array": lambda: sd.Scenario(GAS, CYL, k=PAIR),
+    "Scenario.x_end=array": lambda: sd.Scenario(GAS, CYL, x_end=PAIR * 10.0),
+    "Scenario.x_end=str": lambda: sd.Scenario(GAS, CYL, x_end="10"),
+    "asymptotic_law.k=array": lambda: sd.asymptotic_law(2.0, 0.1, PAIR),
+    "breakdown_distance.k=array": lambda: sd.breakdown_distance(0.1, -PAIR),
+    "half_sine.v0=array": lambda: sd.BoundaryPulse.half_sine(PAIR / 10.0, 1.0),
+    "half_sine.tau0=str": lambda: sd.BoundaryPulse.half_sine(0.1, "1.0"),
+    "linear_ramp.m=array": lambda: sd.BoundaryPulse.linear_ramp(PAIR / 10.0, 1.0),
+    "linear_ramp.tau0=str": lambda: sd.BoundaryPulse.linear_ramp(0.1, "1.0"),
+    "BoundaryPulse.vdot0=array": lambda: sd.BoundaryPulse(np.sin, np.pi, vdot0=PAIR),
+    "integrate_ccw.U0=array": lambda: sd.integrate_ccw(PAIR, GAS, CYL),
+    "wngo_decay.b=array": lambda: sd.wngo_decay(PAIR, GAS, CYL, 10.0),
+    "compare_methods.h=array": lambda: sd.compare_methods(**COMPARE | {"h": PAIR / 20.0}),
+    "simple_wave_u.rhs=str": lambda: sd.simple_wave_u("0.1"),
+    "simple_wave_u.rhs=None": lambda: sd.simple_wave_u(None),
+    "simple_wave_u.rhs=complex": lambda: sd.simple_wave_u(1 + 0j),
+    "psi.x=str": lambda: sd.psi("abc"),
+    "psi.x=complex": lambda: sd.psi(2 + 1j),
+    "jumps_from_mach.mach=str": lambda: sd.jumps_from_mach("x"),
+    "closed_form.x=str": lambda: sd.closed_form("a", 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMBERS))
+def test_non_number_input_raises_domain_error(name):
+    with pytest.raises(sd.DomainError):
+        NON_NUMBERS[name]()
+
+
+def test_zero_dimensional_real_arrays_pass():
+    # A 0-d real array is one number: the same answer as the float it holds.
+    assert sd.GasParams(np.array(1.4)).gamma == 1.4
+    assert sd.closed_form(2.0, np.array(0.1), np.array(1.0)) == sd.closed_form(2.0, 0.1, 1.0)
+    pulse = sd.BoundaryPulse.half_sine(np.array(0.1), 1.0)
+    assert pulse.b == sd.BoundaryPulse.half_sine(0.1, 1.0).b
+    assert sd.simple_wave_u(np.array(0.1)) == sd.simple_wave_u(0.1)
 
 
 def test_numpy_integer_sample_counts_pass():

@@ -33,6 +33,7 @@ from shockdecay import (
     ray_integral,
     second_order_coefficients,
 )
+from shockdecay.core import log_grid
 from shockdecay.transport import (
     MAX_COEFFICIENT_MACH,
     MAX_X_END,
@@ -491,11 +492,26 @@ def test_integration_first_sample_is_exact():
     assert hist.px_jump[0] == 10.0
 
 
-def test_reference_abscissae_in_grid():
-    scen = Scenario(gas=GAS, geom=PLANAR, h=0.32, k=10.0, x_end=100.0)
-    hist = integrate_truncated(scen)
-    for mark in REFERENCE_X:
-        assert np.any(hist.x == mark)
+@pytest.mark.parametrize("k, n", [(10.0, 200), (10.0, 7), (0.0, 20), (-3.0, 300), (-0.05, 50)])
+def test_history_is_the_log_grid_cut_at_breakdown(k, n):
+    # The history holds the n_samples points asked for, and no others; a
+    # breakdown drops exactly the samples at and past x*.
+    scen = Scenario(gas=GAS, geom=CYL, h=0.32, k=k, x_end=1e4)
+    hist = integrate_truncated(scen, n_samples=n)
+    grid = np.unique(log_grid(1.0, scen.x_end, n))
+    assert grid.size == n
+    if hist.breakdown is None:
+        assert np.array_equal(hist.x, grid)
+    else:
+        assert np.array_equal(hist.x, grid[: hist.x.size])
+        assert hist.x[-1] < hist.breakdown <= grid[hist.x.size]
+
+
+def test_history_grid_drops_repeats_of_a_tiny_window():
+    # A window of a few ulps repeats log_grid's points; the history keeps each once.
+    x_end = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    hist = integrate_truncated(Scenario(gas=GAS, x_end=x_end), n_samples=50)
+    assert hist.x.tolist() == [1.0, np.nextafter(1.0, 2.0), x_end]
 
 
 def test_error_columns_follow_convention():

@@ -728,6 +728,23 @@ def test_quadrature_refuses_a_pulse_that_is_nan_inside():
         BoundaryPulse(v, 1.0)
 
 
+def test_pulse_refuses_a_head_slope_estimate_that_overflows():
+    # The one-sided difference of 1e308 sin(pi tau) overflows a float; it is
+    # refused before the integral is built, with no overflow warning.
+    with pytest.raises(DomainError, match="head slope"):
+        BoundaryPulse(lambda tau: 1e308 * np.sin(np.pi * tau), 1.0)
+    assert BoundaryPulse(lambda tau: 5e307 * np.sin(np.pi * tau), 1.0).vdot0 < math.inf
+
+
+def test_quadrature_refuses_a_pulse_whose_half_panel_sums_overflow():
+    # The half-panel sums of 1.5e308 sin(pi tau) overflow to inf, and
+    # whole - halves would be inf - inf; 5e307 is integrated as before.
+    with pytest.raises(DomainError, match="NaN"):
+        BoundaryPulse(lambda tau: 1.5e308 * np.sin(np.pi * tau), 1.0, vdot0=1.0)
+    pulse = BoundaryPulse(lambda tau: 5e307 * np.sin(np.pi * tau), 1.0, vdot0=1.0)
+    assert pulse.b == pytest.approx(2.0 * 5e307 / np.pi, rel=1e-12)
+
+
 def test_fit_refuses_a_pulse_that_is_nan_inside_the_scan():
     # With its exact integral the pulse skips the quadrature.  A NaN v^2 would
     # read as R = +inf, and the scan would bracket the NaN region: tau_- up to
