@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, integrate_ccw_geometries
+from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, _integrate_rules
 from .core import _is_real, log_grid, mach_from_p_jump
 from .errors import DomainError, ShockError
 from .transport import (
@@ -102,25 +102,25 @@ def _pipeline_simple_wave(gas):
 
 
 def _pipeline_ccw(gas, geometries, h, x_end, out_dir):
-    """Both decay rules, each run once for all geometries."""
+    """Both decay rules, run in one Newton iteration for all geometries."""
     u0 = mach_from_p_jump(h, gas)
-    runs = {
-        variant: integrate_ccw_geometries(u0, gas, geometries, x_end, variant, n_samples=240)
-        for variant in (CcwVariant.GENERALIZED, CcwVariant.CLASSIC)
-    }
+    runs = _integrate_rules(u0, gas, geometries, x_end, 240,
+                            (CcwVariant.GENERALIZED, CcwVariant.CLASSIC))
     return {geom: _attempt(_ccw_entry, u0, geom, runs, out_dir) for geom in geometries}
 
 
 def _ccw_entry(u0, geom, runs, out_dir):
-    out = {"U0": u0}
+    out, windows = {"U0": u0}, {}
     for variant, by_geom in runs.items():
         run = by_geom[geom]
         if out_dir:
             run.to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
         # Fit over the last two decades each run actually reached; a strongly
         # converging front hits the weak-limit floor well before a large x_end.
-        window = run.x >= run.x[-1] / 100.0  # x = 1 alone if U hit the floor before x_1
-        X = _centred(np.log(run.x[window]))
+        if run.x.size not in windows:  # both rules often stop at one sample: centre once
+            window = run.x >= run.x[-1] / 100.0  # x = 1 alone if U hit the floor before x_1
+            windows[run.x.size] = window, _centred(np.log(run.x[window]))
+        window, X = windows[run.x.size]
         out[f"{variant.value}_exponent"] = _slope(X, run.p_jump[window])
     gen, cla = (by_geom[geom] for by_geom in runs.values())
     n = min(gen.x.size, cla.x.size)

@@ -46,8 +46,17 @@ def check_samples(n_samples):
 
 
 def _is_real(v):
-    """True for one real number: a Python or numpy real scalar, or a 0-d real array."""
-    return isinstance(v, numbers.Real) or np.ndim(v) == 0 and np.asarray(v).dtype.kind in "fiu"
+    """True for one real number: a Python or numpy real scalar but a bool, or a 0-d real array."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "fiu")
+
+
+def _floats(values):
+    """values as a float array, or NaN, which every range check refuses, if not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        return np.array(np.nan)
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,9 @@ class Geometry:
     j: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.j, numbers.Integral) and self.j in (0, 1, 2)):
-            raise DomainError(f"geometry index must be 0, 1 or 2, got {self.j!r}")
+        j = self.j  # a bool is an Integral, but not a geometry index
+        if isinstance(j, bool) or not (isinstance(j, numbers.Integral) and j in (0, 1, 2)):
+            raise DomainError(f"geometry index must be 0, 1 or 2, got {j!r}")
 
     @classmethod
     def from_name(cls, name):
@@ -140,10 +150,7 @@ def log_grid(a, b, n):
 
 def _finite_from(values, lo, name, hi=np.finfo(float).max):
     """values as a float array; DomainError unless each is finite and in [lo, hi]."""
-    try:
-        values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):  # not numbers: refused by the range check below
-        values = np.array(np.nan)
+    values = _floats(values)
     # A NaN fails min() >= lo; two reductions cost less than np.all of a comparison.
     if values.size and not (values.min() >= lo and values.max() <= hi):
         upper = f" and <= {hi:g}" if hi < np.finfo(float).max else ""

@@ -35,6 +35,7 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _floats,
     _is_real,
     _machs,
     _positions,
@@ -296,7 +297,6 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     _finite_jumps(h, k)
     if not k > 0.0:
         raise DomainError("decay asymptotes require a positive gradient jump k")
-    x = np.asarray(x, dtype=float)
     # Python floats: an overflow gives inf quietly, caught just below.
     amp = float(h) * math.sqrt(2.0 / ((float(gas.gamma) + 1.0) * float(k)))
     if not math.isfinite(amp):
@@ -408,10 +408,9 @@ def decay_slope(x, y):
 
     Samples where y is not positive and finite are skipped.
     """
-    x = _positions(x)
-    y = np.asarray(y, dtype=float)
+    x, y = _positions(x), _floats(y)
     if x.shape != y.shape:
-        raise DomainError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
+        raise DomainError(f"x and y must be numbers of one shape, got {x.shape} and {y.shape}")
     keep = (y > 0.0) & np.isfinite(y)
     return _slope(_centred(np.log(x[keep])), y[keep])
 

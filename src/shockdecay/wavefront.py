@@ -30,6 +30,7 @@ from .core import (
     MAX_X_END,
     GasParams,
     Geometry,
+    _floats,
     _is_real,
     _psi,
     as_scalar,
@@ -254,11 +255,16 @@ class BoundaryPulse:
 
 
 def wavelet_time(x, tau, pulse, gas=GasParams(), geom=Geometry(0)):
-    """Arrival time t of wavelet tau at position x (scalars or numpy arrays)."""
-    if not np.all((tau >= 0.0) & (tau <= pulse.tau0)):
+    """Arrival time t of wavelet tau at position x (scalars or arrays that broadcast)."""
+    x, tau = _floats(x), _floats(tau)  # ray_integral checks x
+    if not np.all((tau >= 0.0) & (tau <= pulse.tau0)):  # a NaN fails
         raise DomainError("tau outside the pulse support [0, tau0]")
+    try:
+        np.broadcast_shapes(x.shape, tau.shape)
+    except ValueError:
+        raise DomainError(f"x and tau shapes {x.shape} and {tau.shape} do not broadcast") from None
     J = ray_integral(x, geom)
-    return tau + (x - 1.0) - 0.5 * (gas.gamma + 1.0) * pulse.v(tau) * J
+    return as_scalar(tau + (x - 1.0) - 0.5 * (gas.gamma + 1.0) * pulse.v(tau) * J)
 
 
 def formation_distance(pulse, gas=GasParams(), geom=Geometry(0)):
@@ -480,7 +486,7 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
     """
     if not (_is_real(b) and 0.0 < b < math.inf):
         raise DomainError("pulse integral b must be finite and positive")
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     if x.size and not (x.min() > 1.0 and x.max() < math.inf):  # a NaN fails min() > 1
         raise DomainError("asymptotes need finite x > 1")
     g, rays, psi_x = gas.gamma, _RAYS[geom.j], _psi(x, geom.j)
@@ -493,7 +499,7 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
 
 def ruw_state(u, gas=GasParams()):
     """Full state (rho, p, a) carried by the outgoing wavelet at velocity u."""
-    u = np.asarray(u, dtype=float)
+    u = _floats(u)
     if not np.isfinite(u).all():
         raise DomainError("velocity u must be finite")
     g = gas.gamma

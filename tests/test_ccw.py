@@ -36,6 +36,12 @@ GAS = GasParams(1.4)
 COEFFICIENT = {CcwVariant.CLASSIC: g_classic, CcwVariant.GENERALIZED: g_generalized}
 
 
+def _phi_f(variant, s, gamma):
+    """(Phi, f) of one rule at the floats s, from the two-rule kernel."""
+    s = np.asarray(s, dtype=float)
+    return ccw._phi_f(s, s.size * (variant is CcwVariant.GENERALIZED), gamma)
+
+
 def test_weak_limits_approach_four():
     for gamma in (1.4, 5.0 / 3.0):
         gas = GasParams(gamma)
@@ -159,7 +165,7 @@ def test_phi_closed_form_matches_quadrature(variant, gamma):
     # Phi(s0) - Phi(s1) = int_s1^s0 f with f = U g(U)/(U + 1), from the weak
     # end (s = -23, U - 1 = 1e-10) to U ~ 1e65 (s = 150).  The oracle sums
     # adaptive quadrature over unit pieces of s.
-    gas, phi = GasParams(gamma), ccw._PHI[variant]
+    gas = GasParams(gamma)
 
     def f(s):
         u = 1.0 + math.exp(s)
@@ -171,7 +177,8 @@ def test_phi_closed_form_matches_quadrature(variant, gamma):
         edges = np.linspace(s1, s0, math.ceil(s0 - s1) + 1)
         expected = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                              for a, b in zip(edges, edges[1:]))
-        assert phi(s0, gamma) - phi(s1, gamma) == pytest.approx(expected, rel=1e-14)
+        phi0, phi1 = _phi_f(variant, [s0, s1], gamma)[0]
+        assert phi0 - phi1 == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("gamma", [1.01, 1.4, 33.0])
@@ -183,8 +190,8 @@ def test_phi_far_field_slope_is_the_coefficient_limit(gamma):
     )
     generalized = (gamma + 1.0) * (1.0 / gamma + 1.0 / (gamma - 1.0))
     for variant, limit in ((CcwVariant.CLASSIC, classic), (CcwVariant.GENERALIZED, generalized)):
-        phi = ccw._PHI[variant]
-        assert (phi(301.0, gamma) - phi(299.0, gamma)) / 2.0 == pytest.approx(limit, rel=1e-12)
+        phi_hi, phi_lo = _phi_f(variant, [301.0, 299.0], gamma)[0]
+        assert (phi_hi - phi_lo) / 2.0 == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", list(CcwVariant))
@@ -216,11 +223,13 @@ def test_classic_coefficient_is_finite_and_monotone_at_large_mach():
 
 @pytest.mark.parametrize("gamma", [1.1, 1.4, 5.0 / 3.0])
 def test_public_coefficients_equal_their_unchecked_kernels(gamma):
-    # The public entry points check U and call the kernels the CCW integrand
-    # uses: the same bits, arrays and scalars, over the tested Mach range.
+    # mu_nu checks U and calls its unchecked kernel: the same bits, arrays and
+    # scalars, over the tested Mach range.  g_classic and g_generalized have no
+    # kernel of their own (the CCW integrand builds f from Phi's terms), but a
+    # scalar still gets the bits of its place in an array.
     U, gas = np.geomspace(1.0, 1e150, 2001), GasParams(gamma)
-    pairs = [(mu_nu, core._mu_nu), (g_classic, ccw._g_classic),
-             (g_generalized, ccw._g_generalized)]
+    pairs = [(mu_nu, core._mu_nu), (g_classic, lambda U, g: g_classic(U, GasParams(g))),
+             (g_generalized, lambda U, g: g_generalized(U, GasParams(g)))]
     for public, kernel in pairs:
         expected = np.asarray(kernel(U, gamma))
         assert np.array_equal(np.asarray(public(U, gas)), expected)
@@ -278,10 +287,63 @@ def test_geometries_in_one_call_match_single_calls(U0, gamma):
     for variant, geoms in itertools.product(CcwVariant, (order, order[::-1])):
         batch = integrate_ccw_geometries(U0, gas, geoms, 1e12, variant, 237)
         assert list(batch) == geoms
+        assert list(integrate_ccw_geometries(U0, gas, iter(geoms), 1e12, variant, 237)) == geoms
         for geom in geoms:
             single = integrate_ccw(U0, gas, geom, 1e12, variant, 237)
             for field in ("x", "U", "p_jump"):
                 np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
+
+
+def _both_rules(U0, gas, geoms, x_end, n_samples):
+    rules = (CcwVariant.GENERALIZED, CcwVariant.CLASSIC)
+    return ccw._integrate_rules(U0, gas, geoms, x_end, n_samples, rules)
+
+
+def test_two_rule_solve_matches_single_rules_seeded():
+    # Each rule of the two-rule solve is its single-rule integrate_ccw, bit
+    # for bit, in every geometry: over gamma in (1, 50], U0 - 1 in
+    # [1e-9, 1e152] and x_end in (1, 1e18]; every third start is weak
+    # (U0 - 1 <= 0.1), so that some histories stop at the weak-limit floor.
+    rng, geoms, floor_stops = np.random.default_rng(26), [Geometry(j) for j in (2, 0, 1)], 0
+    for i in range(120):
+        gas = GasParams(1.0 + 49.0 * rng.random() ** 3 + 1e-12)
+        U0 = 1.0 + 10.0 ** rng.uniform(-9.0, 152.0 if i % 3 else -1.0)
+        x_end, n_samples = 10.0 ** rng.uniform(1e-6, 18.0), int(rng.integers(2, 300))
+        both = _both_rules(U0, gas, geoms, x_end, n_samples)
+        assert list(both) == [CcwVariant.GENERALIZED, CcwVariant.CLASSIC]
+        for variant, geom in itertools.product(CcwVariant, geoms):
+            single = integrate_ccw(U0, gas, geom, x_end, variant, n_samples)
+            assert both[variant][geom].variant is variant
+            for field in ("x", "U", "p_jump"):
+                np.testing.assert_array_equal(getattr(both[variant][geom], field),
+                                              getattr(single, field))
+            floor_stops += single.x.size < n_samples
+    assert floor_stops >= 10
+
+
+def test_two_rule_solve_refuses_an_overflowing_start(monkeypatch):
+    # Above MAX_MACH, Phi and f overflow a float: with the Mach ceiling
+    # lifted, the float ceiling refuses the start in both solves.
+    monkeypatch.setattr(ccw, "MAX_MACH", 1e300)
+    for U0 in (1e160, 1e200):
+        with pytest.raises(DomainError, match="overflows a float"):
+            _both_rules(U0, GAS, [Geometry(2)], 1e6, 50)
+        for variant in CcwVariant:
+            with pytest.raises(DomainError, match="overflows a float"):
+                integrate_ccw(U0, GAS, Geometry(2), 1e6, variant, 50)
+
+
+@pytest.mark.parametrize("gamma", [1.0 + 1e-9, 1.001, 1.1, 1.4, 5.0 / 3.0, 3.0, 20.0, 50.0])
+def test_kernel_f_is_the_public_coefficients(gamma):
+    # The kernel builds f = U g(U)/(U + 1) from Phi's terms; it stays within
+    # 4 ulps of 1.0 (relative 4 eps) of the public g_generalized and
+    # g_classic over s = log(U - 1) in [-23, 352], U up to ~MAX_MACH.
+    s, gas = np.linspace(-23.0, 352.0, 3001), GasParams(gamma)
+    U = 1.0 + np.exp(s)
+    for variant, public in COEFFICIENT.items():
+        f = _phi_f(variant, s, gamma)[1]
+        expected = U * public(U, gas) / (U + 1.0)
+        assert np.all(np.abs(f - expected) <= 4.0 * np.finfo(float).eps * expected)
 
 
 def test_newton_slices_bound_memory():
@@ -302,10 +364,14 @@ def test_newton_slices_change_no_bit(monkeypatch):
     # every geometry's samples, with the planar zeros among them) change nothing.
     geoms = [Geometry(2), Geometry(0), Geometry(1)]
     whole = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    both = _both_rules(1.02, GAS, geoms, 1e12, 237)
     monkeypatch.setattr(ccw, "_NEWTON_SLICE", 7)
     sliced = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    both_sliced = _both_rules(1.02, GAS, geoms, 1e12, 237)  # a slice straddles the rules
     for geom in geoms:
         np.testing.assert_array_equal(sliced[geom].U, whole[geom].U)
+        for variant in CcwVariant:
+            np.testing.assert_array_equal(both_sliced[variant][geom].U, both[variant][geom].U)
 
 
 def test_integrate_ccw_validation():

@@ -644,9 +644,9 @@ def test_compare_methods_failures_stay_per_geometry(tmp_path):
 def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
     # One default run does no equal-area scan (the pulse on the tau scan
     # grid): every root is read off the half-sine's closed-form windows.  It
-    # runs each CCW rule once, for all three geometries.
+    # runs both CCW rules in one solve, for all three geometries.
     scan, scans, ccw_runs = np.linspace(0.0, 1.0, 400)[1:], [], []
-    half_sine, ccw_geometries = BoundaryPulse.half_sine, compare.integrate_ccw_geometries
+    half_sine, integrate_rules = BoundaryPulse.half_sine, compare._integrate_rules
 
     def counting_half_sine(v0, tau0):
         pulse = half_sine(v0, tau0)
@@ -660,42 +660,43 @@ def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
         pulse.v = counted
         return pulse
 
-    def counting_ccw_geometries(U0, gas, geoms, x_end, variant, n_samples):
-        ccw_runs.append((variant, list(geoms)))
-        return ccw_geometries(U0, gas, geoms, x_end, variant, n_samples)
+    def counting_rules(U0, gas, geoms, x_end, n_samples, rules):
+        ccw_runs.append((rules, list(geoms)))
+        return integrate_rules(U0, gas, geoms, x_end, n_samples, rules)
 
     monkeypatch.setattr(BoundaryPulse, "half_sine", staticmethod(counting_half_sine))
-    monkeypatch.setattr(compare, "integrate_ccw_geometries", counting_ccw_geometries)
+    monkeypatch.setattr(compare, "_integrate_rules", counting_rules)
     assert main(["compare-methods"]) == 0
     assert len(scans) == 0
-    assert sorted(variant.value for variant, _ in ccw_runs) == ["classic", "generalized"]
-    assert all(len(geoms) == 3 for _, geoms in ccw_runs)
+    [(rules, geoms)] = ccw_runs
+    assert [rule.value for rule in rules] == ["generalized", "classic"]
+    assert len(geoms) == 3
 
 
 def test_compare_methods_ccw_kernel_cost(monkeypatch, capsys, tmp_path):
-    # Phi is closed form, so the coefficient kernel runs only in Newton's
-    # f(s) and once at s0: at most 4 elements per curved-front sample for
-    # each rule, which takes 2-3 Newton steps per sample.
-    counts = dict.fromkeys(CcwVariant, 0)
+    # Phi is closed form, and one (Phi, f) kernel call serves both rules: one
+    # for the chord tables (whose first rows are s0) and one per Newton step,
+    # which takes 2-3 steps per sample.  So at most 4 calls, and at most 4
+    # rows per curved-front sample for each rule.
+    rows, calls, phi_f = dict.fromkeys(CcwVariant, 0), [], ccw._phi_f
 
-    def counting(variant, kernel):
-        def counted(U, g):
-            counts[variant] += np.size(U)
-            return kernel(U, g)
+    def counted(s, n_gen, g):
+        calls.append(s.size)
+        rows[CcwVariant.GENERALIZED] += n_gen
+        rows[CcwVariant.CLASSIC] += s.size - n_gen
+        return phi_f(s, n_gen, g)
 
-        return counted
-
-    monkeypatch.setattr(ccw, "_COEFFICIENTS", {
-        variant: counting(variant, kernel) for variant, kernel in ccw._COEFFICIENTS.items()})
+    monkeypatch.setattr(ccw, "_phi_f", counted)
     out_dir = tmp_path / "csv"
     out_dir.mkdir()
     assert main(["compare-methods", "--out-dir", str(out_dir)]) == 0
+    assert len(calls) <= 4
     for variant in CcwVariant:
         samples = sum(np.genfromtxt(out_dir / f"ccw_{variant.value}_{name}.csv",
                                     delimiter=",", names=True).size - 1
                       for name in ("cylindrical", "spherical"))
         assert samples > 300
-        assert 0 < counts[variant] <= 4 * samples
+        assert 0 < rows[variant] <= 4 * samples
 
 
 def test_compare_methods_far_spherical_formation_is_a_failed_route(tmp_path, capsys):

@@ -311,3 +311,44 @@ def test_large_ccw_start_gives_finite_history_or_domain_error(gamma, U0, variant
         assert U0 > MAX_MACH
         return
     assert np.all(np.isfinite(hist.U)) and np.all(np.isfinite(hist.p_jump))
+
+
+# A Python bool is not a real number here (True is no gamma, rhs or geometry
+# index), nor is a ragged nested list.  Array arguments that numpy cannot turn
+# into floats, and x and tau that do not broadcast, are refused too.
+RAGGED = [[1.4], [1.4, 1.5]]
+NOT_REAL = {
+    "GasParams.gamma=ragged": lambda: sd.GasParams(RAGGED),
+    "closed_form.h=ragged": lambda: sd.closed_form(2.0, RAGGED, 1.0),
+    "integrate_ccw.U0=ragged": lambda: sd.integrate_ccw(RAGGED, GAS, CYL),
+    "simple_wave_u.rhs=ragged": lambda: sd.simple_wave_u(RAGGED),
+    "simple_wave_u.rhs=True": lambda: sd.simple_wave_u(True),
+    "closed_form.k=True": lambda: sd.closed_form(2.0, 0.1, True),
+    "half_sine.tau0=True": lambda: sd.BoundaryPulse.half_sine(0.05, True),
+    "wngo_decay.b=True": lambda: sd.wngo_decay(True, GAS, CYL, 10.0),
+    "compare_methods.k=True": lambda: sd.compare_methods(**COMPARE | {"k": True}),
+    "Geometry.j=True": lambda: sd.Geometry(True),
+    "Geometry.j=False": lambda: sd.Geometry(False),
+    "wngo_decay.x=str": lambda: sd.wngo_decay(0.1, GAS, CYL, "a"),
+    "asymptotic_law.x=str": lambda: sd.asymptotic_law("a", 0.1, 1.0, GAS, CYL),
+    "ruw_state.u=str": lambda: sd.ruw_state("a"),
+    "decay_slope.y=str": lambda: sd.decay_slope([1, 2], ["a", "b"]),
+    "wavelet_time.shapes": lambda: sd.wavelet_time(
+        np.array([2.0, 3.0, 4.0]), np.array([0.1, 0.2]), PULSE, GAS, CYL
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_REAL))
+def test_bool_ragged_or_unconvertible_input_raises_domain_error(name):
+    with pytest.raises(sd.DomainError):
+        NOT_REAL[name]()
+
+
+def test_wavelet_time_takes_lists_that_broadcast():
+    # Lists are numbers too, and a scalar x or tau broadcasts against an array.
+    taus = np.array([0.0, 0.25, 0.5])
+    expected = sd.wavelet_time(np.full(3, 2.0), taus, PULSE, GAS, CYL)
+    listed = sd.wavelet_time([2.0] * 3, list(taus), PULSE, GAS, CYL)
+    np.testing.assert_array_equal(listed, expected)
+    np.testing.assert_array_equal(sd.wavelet_time(2.0, taus, PULSE, GAS, CYL), expected)
