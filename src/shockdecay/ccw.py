@@ -108,32 +108,26 @@ def integrate_ccw(
     U - 1 at or above WEAK_LIMIT_FLOOR.  A U0 above MAX_MACH, or at which Phi
     or f overflows a float, raises DomainError.
     """
-    return integrate_ccw_geometries(U0, gas, [geom], x_end, variant, n_samples)[geom]
-
-
-def integrate_ccw_geometries(
-    U0, gas, geoms, x_end=100.0, variant=CcwVariant.GENERALIZED, n_samples=200
-):
-    """integrate_ccw for each geometry of ``geoms``: {Geometry: CcwHistory}."""
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
-    return _integrate_rules(U0, gas, geoms, x_end, n_samples, (variant,))[variant]
-
-
-def _integrate_rules(U0, gas, geoms, x_end, n_samples, rules):
-    """{rule: integrate_ccw_geometries(..., rule, ...)} for the rules given, GENERALIZED first.
-
-    One Newton iteration over the samples of every curved front of every rule
-    (a planar one keeps U = U0), one _phi_f call per step.  Each sample is an
-    elementwise closed form with its own Phi(s0) and step test, so each history
-    is integrate_ccw's."""
     if not (_is_real(U0) and 1.0 + WEAK_LIMIT_FLOOR < U0 <= MAX_MACH):
         raise DomainError(
             f"initial Mach number must exceed 1 + {WEAK_LIMIT_FLOOR:g} and be <= {MAX_MACH:g}"
         )
     check_x_end(x_end)
     check_samples(n_samples)
-    geoms = list(geoms)  # read once per rule: a one-shot iterator would end after the first
+    xs = log_grid(1.0, x_end, n_samples)
+    return _integrate_rules(U0, gas, [geom], xs, (variant,))[variant][geom]
+
+
+def _integrate_rules(U0, gas, geoms, xs, rules):
+    """{rule: {geom: integrate_ccw history}} for the rules given, GENERALIZED first,
+    at a checked U0 and checked positions xs from x = 1.
+
+    One Newton iteration over the samples of every curved front of every rule
+    (a planar one keeps U = U0), one _phi_f call per step.  Each sample is an
+    elementwise closed form with its own Phi(s0) and step test, so each history
+    is integrate_ccw's."""
     s0, s_floor, g = math.log(U0 - 1.0), math.log(WEAK_LIMIT_FLOOR), gas.gamma
     edges = np.linspace(s0, s_floor, math.ceil(2.0 * (s0 - s_floor)) + 1)
     generalized = rules[0] is CcwVariant.GENERALIZED
@@ -144,7 +138,6 @@ def _integrate_rules(U0, gas, geoms, x_end, n_samples, rules):
     phi0 = table[:: edges.size]
     if not (np.isfinite(phi0).all() and np.isfinite(f[:: edges.size]).all()):
         raise DomainError(f"the decay rule overflows a float at U0 = {U0}, gamma = {g}")
-    xs = log_grid(1.0, x_end, n_samples)
     log_xs = np.log(xs)
     targets, starts = [], []  # targets: one array per (rule, geometry)
     for p0, row in zip(phi0, table.reshape(len(rules), -1)):

@@ -84,11 +84,12 @@ def cmd_evolve(args):
     )
     if hist.breakdown is not None:
         print(f"  gradient jump blew up: breakdown at x* = {hist.breakdown:.9g}")
-    elif scen.k > 0 and scen.h > 0:  # h = 0 is the acceleration wave alone: [p] = 0
+    elif scen.k > 0:  # the slope of the trailing decade's positive [p], where it has two
         lo = hist.x[-1] / 10.0
-        window = hist.x >= lo
-        slope = decay_slope(hist.x[window], hist.p_jump[window])
-        print(f"  decay slope of [p] over [{lo:.6g}, {hist.x[-1]:.6g}]: {slope:.4f}")
+        window = (hist.x >= lo) & (hist.p_jump > 0.0)  # h = 0 or an underflow leaves [p] = 0
+        if np.count_nonzero(window) >= 2:  # a grid coarser than a decade leaves one sample
+            slope = decay_slope(hist.x[window], hist.p_jump[window])
+            print(f"  decay slope of [p] over [{lo:.6g}, {hist.x[-1]:.6g}]: {slope:.4f}")
     if args.out:
         print(f"  wrote {args.out}")
     return 0

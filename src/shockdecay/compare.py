@@ -12,7 +12,6 @@ from .transport import (
     Scenario,
     _centred,
     _closed_form_jumps,
-    _sample_grid,
     _slope,
     decay_slope,
     integrate_truncated,
@@ -34,23 +33,28 @@ def _attempt(pipeline, *args):
         return exc
 
 
-def _pipeline_transport(gas, geometries, h, k, x_end, out_dir):
-    """Precursor (k) and acoustic (k = 0) exponents over one window of one sample
-    grid: closed_form's [p], evaluated on the window alone (k > 0: no breakdown)."""
-    x = _sample_grid(x_end, 240)
-    x = x[x >= x_end / 100.0]
-    log_x = np.log(x)
-    X = _centred(log_x)  # shared by every row but a spherical precursor
+def _fit_window(x):
+    """Mask of the last two decades of increasing positions x, and their centred log: a
+    CCW front that hits the weak-limit floor early is fitted over the decades it reached."""
+    window = x >= x[-1] / 100.0
+    return window, _centred(np.log(x[window]))
+
+
+def _pipeline_transport(gas, geometries, h, k, xs, out_dir):
+    """Precursor (k) and acoustic (k = 0) exponents over the fit window of xs:
+    closed_form's [p], evaluated on the window alone (k > 0: no breakdown)."""
+    window, X = _fit_window(xs)  # X serves every row but a spherical precursor
+    x = xs[window]
 
     def entry(geom):
         if out_dir:
             for branch, kb in (("precursor", k), ("acoustic", 0.0)):
-                scen = Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=x_end)
+                scen = Scenario(gas=gas, geom=geom, h=h, k=kb, x_end=xs[-1])
                 hist = integrate_truncated(scen, n_samples=240)
                 hist.to_csv(f"{out_dir}/transport_{branch}_{geom.name}.csv")
         p, p_acoustic = (_closed_form_jumps(x, h, kb, gas, geom)[0] for kb in (k, 0.0))
         # A spherical [p] sqrt(log x) drops the log factor; decay_slope skips its 0 at x = 1.
-        precursor = _slope(X, p) if geom.j < 2 else decay_slope(x, p * np.sqrt(log_x))
+        precursor = _slope(X, p) if geom.j < 2 else decay_slope(x, p * np.sqrt(np.log(x)))
         return {"precursor_exponent": precursor, "acoustic_exponent": _slope(X, p_acoustic)}
 
     return {geom: _attempt(entry, geom) for geom in geometries}
@@ -101,11 +105,10 @@ def _pipeline_simple_wave(gas):
     return {"deviation_0.01": high, "deviation_0.001": low, "quadratic_ratio": high / low}
 
 
-def _pipeline_ccw(gas, geometries, h, x_end, out_dir):
-    """Both decay rules, run in one Newton iteration for all geometries."""
+def _pipeline_ccw(gas, geometries, h, xs, out_dir):
+    """Both decay rules at positions xs, run in one Newton iteration for all geometries."""
     u0 = mach_from_p_jump(h, gas)
-    runs = _integrate_rules(u0, gas, geometries, x_end, 240,
-                            (CcwVariant.GENERALIZED, CcwVariant.CLASSIC))
+    runs = _integrate_rules(u0, gas, geometries, xs, (CcwVariant.GENERALIZED, CcwVariant.CLASSIC))
     return {geom: _attempt(_ccw_entry, u0, geom, runs, out_dir) for geom in geometries}
 
 
@@ -115,11 +118,8 @@ def _ccw_entry(u0, geom, runs, out_dir):
         run = by_geom[geom]
         if out_dir:
             run.to_csv(f"{out_dir}/ccw_{variant.value}_{geom.name}.csv")
-        # Fit over the last two decades each run actually reached; a strongly
-        # converging front hits the weak-limit floor well before a large x_end.
         if run.x.size not in windows:  # both rules often stop at one sample: centre once
-            window = run.x >= run.x[-1] / 100.0  # x = 1 alone if U hit the floor before x_1
-            windows[run.x.size] = window, _centred(np.log(run.x[window]))
+            windows[run.x.size] = _fit_window(run.x)  # x = 1 alone if U hit the floor before x_1
         window, X = windows[run.x.size]
         out[f"{variant.value}_exponent"] = _slope(X, run.p_jump[window])
     gen, cla = (by_geom[geom] for by_geom in runs.values())
@@ -159,13 +159,14 @@ def compare_methods(gas, geometries, h, k, x_end, out_dir=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     report = {"gamma": gas.gamma, "h": h, "k": k, "x_end": x_end, "geometries": {}}
+    xs = log_grid(1.0, x_end, 240)  # the transport and CCW routes' one sample grid
     # Each route runs once for all geometries and answers every geometry
     # with its entry or the ShockError that failed it.
     routes = {
-        "transport": _attempt(_pipeline_transport, gas, geometries, h, k, x_end, out_dir),
+        "transport": _attempt(_pipeline_transport, gas, geometries, h, k, xs, out_dir),
         "wngo": _attempt(_pipeline_wngo, gas, geometries, h, x_end, out_dir),
         "simple_wave": _attempt(lambda: dict.fromkeys(geometries, _pipeline_simple_wave(gas))),
-        "ccw": _attempt(_pipeline_ccw, gas, geometries, h, x_end, out_dir),
+        "ccw": _attempt(_pipeline_ccw, gas, geometries, h, xs, out_dir),
     }
     any_failed = False
     for geom in geometries:

@@ -362,11 +362,6 @@ REFERENCE_CASES = (
 )
 
 
-def _sample_grid(x_end, n_samples):
-    """n_samples log-spaced positions on [1, x_end], less the repeats of a tiny x_end - 1."""
-    return np.unique(log_grid(1.0, x_end, n_samples))
-
-
 def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=200):
     """Sample the truncated weak system over [1, x_end] from its closed form.
 
@@ -376,7 +371,8 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     position x* with I(x*) = 0 is recorded as breakdown.
     """
     check_samples(n_samples)
-    xs = _sample_grid(scen.x_end, n_samples)  # checked by construction, as is scen
+    # Checked by construction, as is scen; np.unique drops the repeats of a tiny x_end - 1.
+    xs = np.unique(log_grid(1.0, scen.x_end, n_samples))
     h, k, gas, geom = scen.h, scen.k, scen.gas, scen.geom
     # I(x) exactly as _closed_form_jumps evaluates it, so every kept sample has I > 0;
     # a dropped sample means I reached zero at or before x_end.

@@ -29,8 +29,8 @@ from shockdecay import (
     mu_nu,
 )
 from shockdecay import ccw, core
-from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory, integrate_ccw_geometries
-from shockdecay.core import MAX_X_END
+from shockdecay.ccw import WEAK_LIMIT_FLOOR, CcwHistory
+from shockdecay.core import MAX_X_END, log_grid
 
 GAS = GasParams(1.4)
 COEFFICIENT = {CcwVariant.CLASSIC: g_classic, CcwVariant.GENERALIZED: g_generalized}
@@ -277,6 +277,14 @@ def test_newton_cap_is_a_solver_error(monkeypatch):
         integrate_ccw(1.5, GAS, Geometry(2), x_end=100.0)
 
 
+def _rules(U0, gas, geoms, x_end, n_samples, rules):
+    return ccw._integrate_rules(U0, gas, geoms, log_grid(1.0, x_end, n_samples), rules)
+
+
+def _both_rules(U0, gas, geoms, x_end, n_samples):
+    return _rules(U0, gas, geoms, x_end, n_samples, (CcwVariant.GENERALIZED, CcwVariant.CLASSIC))
+
+
 @pytest.mark.parametrize("U0, gamma", [(1.0001, 1.4), (1.02, 1.1), (1.5, 5.0 / 3.0), (10.0, 3.0)])
 def test_geometries_in_one_call_match_single_calls(U0, gamma):
     # One Newton iteration for all geometries gives each geometry's
@@ -285,18 +293,12 @@ def test_geometries_in_one_call_match_single_calls(U0, gamma):
     # does not.
     gas, order = GasParams(gamma), [Geometry(2), Geometry(0), Geometry(1)]
     for variant, geoms in itertools.product(CcwVariant, (order, order[::-1])):
-        batch = integrate_ccw_geometries(U0, gas, geoms, 1e12, variant, 237)
+        batch = _rules(U0, gas, geoms, 1e12, 237, (variant,))[variant]
         assert list(batch) == geoms
-        assert list(integrate_ccw_geometries(U0, gas, iter(geoms), 1e12, variant, 237)) == geoms
         for geom in geoms:
             single = integrate_ccw(U0, gas, geom, 1e12, variant, 237)
             for field in ("x", "U", "p_jump"):
                 np.testing.assert_array_equal(getattr(batch[geom], field), getattr(single, field))
-
-
-def _both_rules(U0, gas, geoms, x_end, n_samples):
-    rules = (CcwVariant.GENERALIZED, CcwVariant.CLASSIC)
-    return ccw._integrate_rules(U0, gas, geoms, x_end, n_samples, rules)
 
 
 def test_two_rule_solve_matches_single_rules_seeded():
@@ -363,10 +365,10 @@ def test_newton_slices_change_no_bit(monkeypatch):
     # Each sample stops on its own step test, so slice edges (here inside
     # every geometry's samples, with the planar zeros among them) change nothing.
     geoms = [Geometry(2), Geometry(0), Geometry(1)]
-    whole = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    whole = _rules(1.02, GAS, geoms, 1e12, 237, (CcwVariant.CLASSIC,))[CcwVariant.CLASSIC]
     both = _both_rules(1.02, GAS, geoms, 1e12, 237)
     monkeypatch.setattr(ccw, "_NEWTON_SLICE", 7)
-    sliced = integrate_ccw_geometries(1.02, GAS, geoms, 1e12, CcwVariant.CLASSIC, 237)
+    sliced = _rules(1.02, GAS, geoms, 1e12, 237, (CcwVariant.CLASSIC,))[CcwVariant.CLASSIC]
     both_sliced = _both_rules(1.02, GAS, geoms, 1e12, 237)  # a slice straddles the rules
     for geom in geoms:
         np.testing.assert_array_equal(sliced[geom].U, whole[geom].U)

@@ -35,7 +35,7 @@ from shockdecay import (
     wngo_decay,
 )
 from shockdecay.cli import main
-from shockdecay.core import MAX_GAMMA
+from shockdecay.core import MAX_GAMMA, log_grid
 from shockdecay.errors import ShockError
 from shockdecay.transport import (CSV_HEADER, Scenario, breakdown_distance, decay_slope,
                                   integrate_truncated)
@@ -83,6 +83,20 @@ def test_evolve_acceleration_wave_alone(tmp_path, capsys):
     assert np.all(data["p_jump"] == 0.0)
     _, px = closed_form(data["x"], 0.0, 1.0, GasParams(1.4), Geometry(1))
     assert np.array_equal(data["px_jump"], px)
+    assert "decay slope" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (["--samples", "2"], 2),  # x = 1 and 100: one sample in the trailing decade
+    (["--x-end", "1e12", "--samples", "12"], 12),  # 12/11 decades apart
+    (["--h", "5e-324", "--x-end", "1e6"], 200),  # [p] underflows to 0 well before x = 1e5
+], ids=["samples-2", "coarse-grid", "underflow"])
+def test_evolve_without_two_positive_samples_skips_the_slope(argv, samples, tmp_path, capsys):
+    # The trailing decade must hold two positive [p] samples for a slope; with
+    # fewer, evolve still succeeds and writes every sample, but prints no slope.
+    out = tmp_path / "hist.csv"
+    assert main(["evolve", *argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == samples + 1
     assert "decay slope" not in capsys.readouterr().out
 
 
@@ -351,6 +365,22 @@ def test_table1_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_compare_methods_default_bytes_are_pinned(tmp_path, capsys):
+    # The default report and its 15 CSVs, concatenated in sorted name order.
+    # Their values pass through numpy's exp, log and arctan, whose last bits
+    # can differ between builds; these hashes are from numpy on Linux x86-64.
+    report, out_dir = tmp_path / "r.json", tmp_path / "csv"
+    assert main(["compare-methods", "--report", str(report), "--out-dir", str(out_dir)]) == 0
+    csvs = sorted(out_dir.iterdir())
+    assert len(csvs) == 15
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "006c6cb96dc22915307d41b316bea8931e076cb7f2a414ce6205cbcad9981428"
+    )
+    assert hashlib.sha256(b"".join(path.read_bytes() for path in csvs)).hexdigest() == (
+        "dd06ec7a2b3b8cfe6c1f00a7e73b08f0b53c78f4cf2088810add86e4f0229f9b"
+    )
+
+
 def test_fit_shock_csv(tmp_path):
     out = tmp_path / "fit.csv"
     code = main(
@@ -609,18 +639,19 @@ def test_compare_methods_ccw_window_of_one_sample_fails_its_entry(geometry, tmp_
 
 
 @pytest.mark.parametrize("out_dir", [False, True])
-def test_compare_methods_builds_one_transport_grid(monkeypatch, tmp_path, out_dir):
-    # One sample grid serves every geometry and branch; integrate_truncated
-    # runs only to write the transport CSVs, one per geometry and branch.
+def test_compare_methods_builds_one_sample_grid(monkeypatch, tmp_path, out_dir):
+    # One sample grid from x = 1 serves the transport and CCW routes in every
+    # geometry (the wavefront window starts higher); integrate_truncated runs
+    # only to write the transport CSVs, one per geometry and branch.
     grids, histories = [], []
-    sample_grid, integrate = compare._sample_grid, compare.integrate_truncated
-    monkeypatch.setattr(compare, "_sample_grid", lambda *a: grids.append(a) or sample_grid(*a))
+    grid, integrate = compare.log_grid, compare.integrate_truncated
+    monkeypatch.setattr(compare, "log_grid", lambda *a: grids.append(a) or grid(*a))
     monkeypatch.setattr(
         compare, "integrate_truncated", lambda *a, **kw: histories.append(a) or integrate(*a, **kw)
     )
     argv = ["compare-methods", "--report", str(tmp_path / "report.json")]
     assert main(argv + ["--out-dir", str(tmp_path / "csv")] * out_dir) == 0
-    assert len(grids) == 1
+    assert [a for a in grids if a[0] == 1.0] == [(1.0, 1e12, 240)]
     assert len(histories) == (6 if out_dir else 0)
 
 
@@ -660,17 +691,18 @@ def test_compare_methods_runs_each_route_once(monkeypatch, capsys):
         pulse.v = counted
         return pulse
 
-    def counting_rules(U0, gas, geoms, x_end, n_samples, rules):
-        ccw_runs.append((rules, list(geoms)))
-        return integrate_rules(U0, gas, geoms, x_end, n_samples, rules)
+    def counting_rules(U0, gas, geoms, xs, rules):
+        ccw_runs.append((rules, list(geoms), xs))
+        return integrate_rules(U0, gas, geoms, xs, rules)
 
     monkeypatch.setattr(BoundaryPulse, "half_sine", staticmethod(counting_half_sine))
     monkeypatch.setattr(compare, "_integrate_rules", counting_rules)
     assert main(["compare-methods"]) == 0
     assert len(scans) == 0
-    [(rules, geoms)] = ccw_runs
+    [(rules, geoms, xs)] = ccw_runs
     assert [rule.value for rule in rules] == ["generalized", "classic"]
     assert len(geoms) == 3
+    assert xs.tobytes() == log_grid(1.0, 1e12, 240).tobytes()
 
 
 def test_compare_methods_ccw_kernel_cost(monkeypatch, capsys, tmp_path):
