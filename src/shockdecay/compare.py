@@ -8,14 +8,7 @@ import numpy as np
 from .ccw import WEAK_LIMIT_FLOOR, CcwVariant, _integrate_rules
 from .core import _is_real, log_grid, mach_from_p_jump
 from .errors import DomainError, ShockError
-from .transport import (
-    Scenario,
-    _centred,
-    _closed_form_jumps,
-    _slope,
-    decay_slope,
-    integrate_truncated,
-)
+from .transport import Scenario, _centred, _closed_form_jumps, _slope, integrate_truncated
 from .wavefront import (
     BoundaryPulse,
     _fit_checked,
@@ -43,7 +36,7 @@ def _fit_window(x):
 def _pipeline_transport(gas, geometries, h, k, xs, out_dir):
     """Precursor (k) and acoustic (k = 0) exponents over the fit window of xs:
     closed_form's [p], evaluated on the window alone (k > 0: no breakdown)."""
-    window, X = _fit_window(xs)  # X serves every row but a spherical precursor
+    window, X = _fit_window(xs)
     x = xs[window]
 
     def entry(geom):
@@ -53,8 +46,8 @@ def _pipeline_transport(gas, geometries, h, k, xs, out_dir):
                 hist = integrate_truncated(scen, n_samples=240)
                 hist.to_csv(f"{out_dir}/transport_{branch}_{geom.name}.csv")
         p, p_acoustic = (_closed_form_jumps(x, h, kb, gas, geom)[0] for kb in (k, 0.0))
-        # A spherical [p] sqrt(log x) drops the log factor; decay_slope skips its 0 at x = 1.
-        precursor = _slope(X, p) if geom.j < 2 else decay_slope(x, p * np.sqrt(np.log(x)))
+        # A spherical [p] sqrt(log x) drops the log factor; x > 1 in the window, so it is > 0.
+        precursor = _slope(X, p if geom.j < 2 else p * np.sqrt(np.log(x)))
         return {"precursor_exponent": precursor, "acoustic_exponent": _slope(X, p_acoustic)}
 
     return {geom: _attempt(entry, geom) for geom in geometries}
@@ -105,9 +98,8 @@ def _pipeline_simple_wave(gas):
     return {"deviation_0.01": high, "deviation_0.001": low, "quadratic_ratio": high / low}
 
 
-def _pipeline_ccw(gas, geometries, h, xs, out_dir):
-    """Both decay rules at positions xs, run in one Newton iteration for all geometries."""
-    u0 = mach_from_p_jump(h, gas)
+def _pipeline_ccw(gas, geometries, u0, xs, out_dir):
+    """Both decay rules from Mach number u0 at positions xs, in one Newton iteration."""
     runs = _integrate_rules(u0, gas, geometries, xs, (CcwVariant.GENERALIZED, CcwVariant.CLASSIC))
     return {geom: _attempt(_ccw_entry, u0, geom, runs, out_dir) for geom in geometries}
 
@@ -143,7 +135,8 @@ def compare_methods(gas, geometries, h, k, x_end, out_dir=None):
     Each geometry gets every route's block, or {"status": "failed", "error": ...}
     (status "partial"), and the gap of each pair in _PAIRS whose two exponents
     exist.  Given out_dir, creates it and writes each route's CSVs there.  Bad
-    data raises DomainError; the geometries iterable is read after h and k are checked.
+    data, and an x_end <= 100, where the two-decade fit windows reach x = 1,
+    raise DomainError; the geometries iterable is read after h and k are checked.
     """
     if not (_is_real(h) and 0.0 < h <= 0.1):
         raise DomainError(f"compare-methods needs 0 < h <= 0.1 (weak data), got {h}")
@@ -154,7 +147,10 @@ def compare_methods(gas, geometries, h, k, x_end, out_dir=None):
         raise DomainError("compare-methods needs a nonempty list of distinct geometries")
     for geom in geometries:
         Scenario(gas=gas, geom=geom, h=h, k=k, x_end=x_end)
-    if not mach_from_p_jump(h, gas) > 1.0 + WEAK_LIMIT_FLOOR:
+    if not x_end > 100.0:  # after Scenario, whose x_end messages come first
+        raise DomainError(f"compare-methods needs x_end > 100 for its two-decade fits, got {x_end}")
+    u0 = mach_from_p_jump(h, gas)
+    if not u0 > 1.0 + WEAK_LIMIT_FLOOR:
         raise DomainError(f"h = {h} puts the CCW start within {WEAK_LIMIT_FLOOR:g} of U = 1")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -166,7 +162,7 @@ def compare_methods(gas, geometries, h, k, x_end, out_dir=None):
         "transport": _attempt(_pipeline_transport, gas, geometries, h, k, xs, out_dir),
         "wngo": _attempt(_pipeline_wngo, gas, geometries, h, x_end, out_dir),
         "simple_wave": _attempt(lambda: dict.fromkeys(geometries, _pipeline_simple_wave(gas))),
-        "ccw": _attempt(_pipeline_ccw, gas, geometries, h, xs, out_dir),
+        "ccw": _attempt(_pipeline_ccw, gas, geometries, u0, xs, out_dir),
     }
     any_failed = False
     for geom in geometries:

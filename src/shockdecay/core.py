@@ -242,12 +242,3 @@ def ray_integral_inverse(value, geom=Geometry(0)):
     with np.errstate(over="ignore"):  # an overflow fails the position check
         return as_scalar(_positions(_RAYS[geom.j][2](value)))
 
-
-def far_field_gradient(x, gas=GasParams(), geom=Geometry(0)):
-    """Far-field gradient jump 2/(gamma+1) * psi(x) / J_lead(x).
-
-    That is 2/(gamma+1) * {1/x; 1/(2x); 1/(x log x)}.  The law is the same
-    for the transport and the wavefront routes and carries no memory of the
-    initial strength.
-    """
-    return 2.0 / (gas.gamma + 1.0) * np.divide(psi(x, geom), ray_integral_leading(x, geom))

@@ -43,12 +43,7 @@ from .core import (
     as_scalar,
     check_samples,
     check_x_end,
-    far_field_gradient,
     log_grid,
-    psi,
-    ray_integral,
-    ray_integral_inverse,
-    ray_integral_leading,
     write_csv,
 )
 from .errors import BreakdownError, DomainError
@@ -202,7 +197,9 @@ class Scenario:
         _finite_jumps(self.h, self.k)
         if self.h < 0.0:
             raise DomainError("initial pressure jump h must be >= 0 (compressive)")
-        growth = 0.5 * (self.gas.gamma + 1.0) * self.k * ray_integral(self.x_end, self.geom)
+        # x_end is checked above; in Python floats an overflow gives inf quietly.
+        J_end = float(_RAYS[self.geom.j][0](float(self.x_end)))
+        growth = 0.5 * (self.gas.gamma + 1.0) * self.k * J_end
         if not math.isfinite(growth):  # I(x) of the closed form would overflow
             raise DomainError(
                 f"(gamma+1) k J(x_end)/2 overflows for gamma = {self.gas.gamma}, k = {self.k}"
@@ -301,9 +298,11 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     amp = float(h) * math.sqrt(2.0 / ((float(gas.gamma) + 1.0) * float(k)))
     if not math.isfinite(amp):
         raise DomainError(f"decay amplitude h*sqrt(2/((gamma+1)k)) overflows for k = {k}")
-    with np.errstate(divide="ignore"):
-        p = amp * psi(x, geom) / np.sqrt(ray_integral_leading(x, geom))
-        px = far_field_gradient(x, gas, geom)
+    x = _positions(x)
+    psi_x, J_lead = _psi(x, geom.j), _RAYS[geom.j][1](x)
+    with np.errstate(divide="ignore"):  # a spherical J_lead is 0 at x = 1
+        p = amp * psi_x / np.sqrt(J_lead)
+        px = 2.0 / (gas.gamma + 1.0) * (psi_x / J_lead)  # the far-field gradient, as wngo_decay's
     return as_scalar(p, px)
 
 
@@ -315,7 +314,8 @@ def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
     J_star = -2.0 / ((gas.gamma + 1.0) * k)
     if not J_star <= MAX_RAY_INTEGRAL[geom.j]:
         raise DomainError(f"the gradient jump blows up beyond x = {MAX_X_END:g}")
-    return ray_integral_inverse(J_star, geom)
+    # J_star is in (0, MAX_RAY_INTEGRAL]: x is in [1, MAX_X_END], unchecked as no check could fire.
+    return float(_RAYS[geom.j][2](np.array(J_star, dtype=float)))
 
 
 # Abscissae and reference absolute errors for the two standard parameter
@@ -370,6 +370,8 @@ def integrate_truncated(scen, convention=AsymptoteConvention.LEADING, n_samples=
     last sample where I(x) > 0; when that drops any sample, the breakdown
     position x* with I(x*) = 0 is recorded as breakdown.
     """
+    if not isinstance(convention, AsymptoteConvention):
+        raise DomainError(f"unknown asymptote convention {convention!r}")
     check_samples(n_samples)
     # Checked by construction, as is scen; np.unique drops the repeats of a tiny x_end - 1.
     xs = np.unique(log_grid(1.0, scen.x_end, n_samples))

@@ -163,8 +163,8 @@ class BoundaryPulse:
 
     def v_integral(self, tau):
         """Cumulative integral of v from 0 to tau (scalar or array in [0, tau0])."""
-        tau = np.asarray(tau, dtype=float)
-        if not np.all((tau >= 0.0) & (tau <= self.tau0 * (1.0 + 1e-12))):
+        tau = _floats(tau)
+        if not np.all((tau >= 0.0) & (tau <= self.tau0 * (1.0 + 1e-12))):  # a NaN fails
             raise DomainError("tau outside the pulse support [0, tau0]")
         tau = np.minimum(tau, self.tau0)
         return as_scalar(self._integral(tau) - self._b0)
@@ -214,8 +214,7 @@ class BoundaryPulse:
     @classmethod
     def from_table(cls, taus, values):
         """Monotone-cubic interpolation through sampled (tau, v) pairs."""
-        taus = np.asarray(taus, dtype=float)
-        values = np.asarray(values, dtype=float)
+        taus, values = _floats(taus), _floats(values)  # not numbers: a NaN, refused below
         if taus.ndim != 1 or taus.size < 3 or taus.shape != values.shape:
             raise DomainError("pulse table needs >= 3 matching (tau, v) samples")
         if not (np.isfinite(taus).all() and np.isfinite(values).all()):
@@ -343,7 +342,7 @@ def fit_shock(pulse, gas=GasParams(), geom=Geometry(0), x_grid=None):
     sharp features; a peak of R narrower than the spacing and away from every
     knot can still be missed.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = _floats(x_grid)  # not numbers: a NaN, refused below
     if x_grid.ndim != 1 or x_grid.size == 0:
         raise DomainError("x_grid must be a one-dimensional, nonempty array")
     if not (1.0 < x_grid[0] and x_grid[-1] < math.inf and np.all(np.diff(x_grid) > 0.0)):
@@ -396,7 +395,7 @@ def _scan_cells(pulse, c, J, x=None):
     cv2 = c * pulse.v(scan[1:]) ** 2
     if np.isnan(cv2).any():  # a NaN v^2 reads as R = +inf; a +inf v^2 keeps F's sign
         raise DomainError("pulse v is NaN inside (0, tau0]")
-    B = pulse.v_integral(scan[1:])
+    B = pulse._integral(scan[1:]) - pulse._b0  # the scan lies in [0, tau0], as in F below
     R = np.where(cv2 > 0.0, B / cv2, np.where(B >= 0.0, np.inf, -np.inf))
     cell = np.searchsorted(np.maximum.accumulate(R), J)
     found, cell = cell < R.size, np.minimum(cell, R.size - 1)
@@ -494,7 +493,7 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
         u = np.sqrt(4.0 * b / ((g + 1.0) * rays[0](x))) * psi_x
     if not np.isfinite(u).all():
         raise DomainError(f"the shock velocity jump overflows for b = {b}")
-    return as_scalar(u, 2.0 / (g + 1.0) * (psi_x / rays[1](x)))  # far_field_gradient
+    return as_scalar(u, 2.0 / (g + 1.0) * (psi_x / rays[1](x)))  # asymptotic_law's [p_x]
 
 
 def ruw_state(u, gas=GasParams()):

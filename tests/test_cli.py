@@ -524,7 +524,7 @@ def test_compare_methods_partial_failure(tmp_path, capsys):
     # pipeline; the command must still emit a report and flag it partial.
     report_path = tmp_path / "partial.json"
     code = main(
-        ["compare-methods", "--geometry", "planar", "--x-end", "30",
+        ["compare-methods", "--geometry", "planar", "--x-end", "120",
          "--report", str(report_path)]
     )
     assert code == 4
@@ -603,20 +603,18 @@ def test_compare_methods_transport_exponents_match_histories(gamma, h, k, tmp_pa
                 run.x[window], run.p_jump[window])
 
 
-def test_compare_methods_spherical_window_from_x_equal_one(tmp_path):
-    # At x_end <= 100 the transport window starts at x = 1, where the
-    # spherical [p] sqrt(log x) is 0; the report skips that sample as
-    # decay_slope does, with no warning.
-    path, gas, x_end = tmp_path / "report.json", GasParams(1.4), 50.0
-    assert main(["compare-methods", "--geometry", "spherical", "--x-end", repr(x_end),
-                 "--report", str(path)]) in (0, 4)
-    hist = integrate_truncated(Scenario(gas=gas, geom=Geometry(2), h=0.05, k=1.0, x_end=x_end),
-                               n_samples=240)
-    window = hist.x >= x_end / 100.0
-    assert hist.x[window][0] == 1.0
-    report = json.loads(path.read_text())
-    assert report["geometries"]["spherical"]["transport"]["precursor_exponent"] == (
-        _corrected_slope(hist.x[window], hist.p_jump[window], Geometry(2)))
+@pytest.mark.parametrize("x_end", ["1.00000000000001", "1.5", "50", "100"])
+def test_compare_methods_refuses_x_end_of_two_decades_or_less(x_end, tmp_path, capsys):
+    # The exponents are fits over the last two decades, which from x_end <= 100
+    # reach x = 1; there they read rounding noise (+2.1 for the spherical
+    # precursor at 1.5), so the command refuses with no report.
+    path = tmp_path / "report.json"
+    assert main(["compare-methods", "--x-end", x_end, "--report", str(path)]) == 2
+    assert "x_end > 100" in capsys.readouterr().err
+    assert not path.exists()
+    # Just above, the report is written; a wavelet-fit window may still fail (partial).
+    assert main(["compare-methods", "--x-end", "101", "--report", str(path)]) in (0, 4)
+    assert json.loads(path.read_text())["x_end"] == 101.0
 
 
 @pytest.mark.parametrize("geometry", ["cylindrical", "spherical"])
@@ -757,7 +755,7 @@ def test_compare_methods_deterministic(tmp_path):
     "argv, geoms, x_end, code",
     [
         ([], (0, 1, 2), 1e12, 0),
-        (["--geometry", "planar", "--x-end", "30"], (0,), 30.0, 4),
+        (["--geometry", "planar", "--x-end", "120"], (0,), 120.0, 4),
         (["--geometry", "spherical"], (2,), 1e12, 0),
     ],
 )

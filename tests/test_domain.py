@@ -207,6 +207,9 @@ NON_NUMBERS = {
     "psi.x=complex": lambda: sd.psi(2 + 1j),
     "jumps_from_mach.mach=str": lambda: sd.jumps_from_mach("x"),
     "closed_form.x=str": lambda: sd.closed_form("a", 0.1, 1.0),
+    "integrate_truncated.convention=str": lambda: sd.integrate_truncated(SCEN, "leading"),
+    "integrate_truncated.convention=None": lambda: sd.integrate_truncated(SCEN, None),
+    "integrate_truncated.convention=3": lambda: sd.integrate_truncated(SCEN, 3),
 }
 
 
@@ -336,6 +339,13 @@ NOT_REAL = {
     "wavelet_time.shapes": lambda: sd.wavelet_time(
         np.array([2.0, 3.0, 4.0]), np.array([0.1, 0.2]), PULSE, GAS, CYL
     ),
+    "v_integral.tau=str": lambda: PULSE.v_integral("a"),
+    "from_table.taus=str": lambda: sd.BoundaryPulse.from_table(["a", "b", "c"], [0, 1, 0]),
+    "from_table.values=str": lambda: sd.BoundaryPulse.from_table([0, 1, 2], ["a", "b", "c"]),
+    "from_table.taus=ragged": lambda: sd.BoundaryPulse.from_table([[0], [1, 2]], [0, 1, 0]),
+    "from_table.values=ragged": lambda: sd.BoundaryPulse.from_table([0, 1, 2], [[0], [1, 0]]),
+    "fit_shock.x_grid=str": lambda: sd.fit_shock(PULSE, x_grid=["a", "b"]),
+    "fit_shock.x_grid=ragged": lambda: sd.fit_shock(PULSE, x_grid=[[2.0], [3.0, 4.0]]),
 }
 
 

@@ -31,6 +31,8 @@ from shockdecay import (
     mu_nu,
     psi,
     ray_integral,
+    ray_integral_inverse,
+    ray_integral_leading,
     second_order_coefficients,
 )
 from shockdecay.core import log_grid
@@ -377,6 +379,25 @@ def test_asymptotic_law_structure():
         asymptotic_law(10.0, 0.32, 1e-320, GAS, PLANAR)
 
 
+def test_asymptotic_law_is_the_public_composition():
+    # asymptotic_law checks x once, then calls the kernels: its answer is the
+    # checked public psi and ray_integral_leading bit for bit, on a seeded
+    # grid in every geometry, for arrays and for scalars.
+    rng = np.random.default_rng(66)
+    x = np.sort(1.0 + 10.0 ** rng.uniform(-12.0, 17.0, 400))
+    for geom in (PLANAR, CYL, SPH):
+        gas, h = GasParams(rng.uniform(1.01, 5.0)), rng.uniform(0.0, 0.5)
+        k = 10.0 ** rng.uniform(-6.0, 6.0)
+        p, px = asymptotic_law(x, h, k, gas, geom)
+        amp = h * math.sqrt(2.0 / ((gas.gamma + 1.0) * k))
+        J = ray_integral_leading(x, geom)
+        np.testing.assert_array_equal(p, amp * psi(x, geom) / np.sqrt(J))
+        np.testing.assert_array_equal(px, 2.0 / (gas.gamma + 1.0) * (psi(x, geom) / J))
+        for i in range(0, x.size, 40):
+            scalar = asymptotic_law(float(x[i]), h, k, gas, geom)
+            assert scalar == (p[i], px[i]) and all(type(v) is float for v in scalar)
+
+
 def test_leading_order_reference_properties():
     x = np.geomspace(2.0, 1e5, 12)
     # Spherical: the leading ray integral is the full one, so the reference
@@ -411,6 +432,24 @@ def test_breakdown_distance_inverts_ray_integral():
             breakdown_distance(0.1, k, GAS, Geometry(j))
     at_limit = -2.0 / ((GAS.gamma + 1.0) * ray_integral(MAX_X_END, SPH))
     assert breakdown_distance(0.1, at_limit, GAS, SPH) == pytest.approx(MAX_X_END)
+
+
+def test_breakdown_distance_is_the_public_inverse():
+    # breakdown_distance reads x* off the unchecked inverse: the checked
+    # public ray_integral_inverse of -2/((gamma+1) k), bit for bit, on a
+    # seeded set of k < 0 in every geometry, up to the MAX_X_END edge.
+    rng = np.random.default_rng(67)
+    for geom in (PLANAR, CYL, SPH):
+        gas, J_max = GasParams(rng.uniform(1.01, 5.0)), ray_integral(MAX_X_END, geom)
+        limit = -2.0 / ((gas.gamma + 1.0) * J_max)
+        for k in (*-(10.0 ** rng.uniform(-18.0, 6.0, 200)), limit):
+            target = -2.0 / ((gas.gamma + 1.0) * k)
+            if target > J_max:
+                with pytest.raises(DomainError, match="beyond x = 1e\\+18"):
+                    breakdown_distance(0.1, k, gas, geom)
+                continue
+            x_star = breakdown_distance(0.1, k, gas, geom)
+            assert x_star == ray_integral_inverse(target, geom) and type(x_star) is float
 
 
 def test_breakdown_known_values():
