@@ -185,7 +185,10 @@ def _u_p_jumps(mach, g):
 def mach_from_p_jump(p_jump, gas=GasParams()):
     """Shock Mach number carrying pressure jump ``p_jump`` >= 0 (compressive)."""
     p_jump = _finite_from(p_jump, 0.0, "pressure jump")
-    mach = np.sqrt(1.0 + 0.5 * (gas.gamma + 1.0) * p_jump)
+    with np.errstate(over="ignore"):  # refused just below
+        mach = np.sqrt(1.0 + 0.5 * (gas.gamma + 1.0) * p_jump)
+    if not np.isfinite(mach).all():
+        raise DomainError("the shock Mach number of this pressure jump overflows a float")
     return as_scalar(mach)
 
 
@@ -241,4 +244,13 @@ def ray_integral_inverse(value, geom=Geometry(0)):
     value = _finite_from(value, 0.0, "ray integral")
     with np.errstate(over="ignore"):  # an overflow fails the position check
         return as_scalar(_positions(_RAYS[geom.j][2](value)))
+
+
+def _breaking_position(slope, gas, j, what):
+    """Where an acceleration wave of compressive slope > 0 (unchecked) breaks: at J(x) =
+    2/((gamma+1) slope); DomainError '{what} beyond x = 1e18' past MAX_X_END."""
+    J = 2.0 / ((gas.gamma + 1.0) * slope)
+    if not J <= MAX_RAY_INTEGRAL[j]:
+        raise DomainError(f"{what} beyond x = {MAX_X_END:g}")
+    return float(_RAYS[j][2](np.array(J, dtype=float)))  # x in [1, MAX_X_END]: no check fires
 

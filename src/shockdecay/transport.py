@@ -31,10 +31,10 @@ import numpy as np
 
 from .core import (
     _RAYS,
-    MAX_RAY_INTEGRAL,
-    MAX_X_END,
+    MAX_X_END,  # unused here, but kept importable from transport
     GasParams,
     Geometry,
+    _breaking_position,
     _floats,
     _is_real,
     _machs,
@@ -260,13 +260,29 @@ def _closed_form_jumps(x, h, k, gas, geom, leading=False):
     return h / np.sqrt(I) * shape, k / I * shape
 
 
+def _checked_jumps(x, h, k, gas, geom, leading):
+    """_closed_form_jumps of positions x and jumps (h, k), checked; DomainError where
+    (gamma+1) k J(x)/2 or [p] overflows.  [p_x] = k psi/I cannot: I nears 0 only where
+    (gamma+1) |k| J/2 ~ 1, and J >= 2e-16 wherever it is not 0 bounds |k| there."""
+    _finite_jumps(h, k)
+    x = _positions(x)
+    # J grows with x, so the largest term sits at the largest x; Python floats overflow quietly.
+    J_max = float(_RAYS[geom.j][leading](float(x.max()))) if x.size else 0.0
+    if not math.isfinite(0.5 * (float(gas.gamma) + 1.0) * float(k) * J_max):
+        raise DomainError(f"(gamma+1) k J(x)/2 overflows for gamma = {gas.gamma}, k = {k}")
+    with np.errstate(over="ignore"):  # h/sqrt(I) overflows as I(x) nears 0, refused below
+        out = _closed_form_jumps(x, h, k, gas, geom, leading)
+    if out is not None and not np.isfinite(out[0]).all():
+        raise DomainError(f"[p] overflows a float for h = {h}, k = {k}")
+    return out
+
+
 def closed_form(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Exact ([p], [p_x]) of the truncated weak system at position x.
 
     Raises BreakdownError once 1 + (gamma+1) k J(x)/2 reaches zero.
     """
-    _finite_jumps(h, k)
-    out = _closed_form_jumps(_positions(x), h, k, gas, geom)
+    out = _checked_jumps(x, h, k, gas, geom, leading=False)
     if out is None:
         raise BreakdownError(
             f"gradient jump blew up before x = {np.max(x)}; "
@@ -277,8 +293,7 @@ def closed_form(x, h, k, gas=GasParams(), geom=Geometry(0)):
 
 def leading_order_reference(x, h, k, gas=GasParams(), geom=Geometry(0)):
     """Closed form with the ray integral replaced by its leading part."""
-    _finite_jumps(h, k)
-    out = _closed_form_jumps(_positions(x), h, k, gas, geom, leading=True)
+    out = _checked_jumps(x, h, k, gas, geom, leading=True)
     if out is None:
         raise BreakdownError("leading-order reference ceased to exist")
     return as_scalar(*out)
@@ -311,11 +326,7 @@ def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
     _finite_jumps(h, k)
     if k >= 0.0:
         return None
-    J_star = -2.0 / ((gas.gamma + 1.0) * k)
-    if not J_star <= MAX_RAY_INTEGRAL[geom.j]:
-        raise DomainError(f"the gradient jump blows up beyond x = {MAX_X_END:g}")
-    # J_star is in (0, MAX_RAY_INTEGRAL]: x is in [1, MAX_X_END], unchecked as no check could fire.
-    return float(_RAYS[geom.j][2](np.array(J_star, dtype=float)))
+    return _breaking_position(-k, gas, geom.j, "the gradient jump blows up")
 
 
 # Abscissae and reference absolute errors for the two standard parameter

@@ -26,10 +26,9 @@ import numpy as np
 
 from .core import (
     _RAYS,
-    MAX_RAY_INTEGRAL,
-    MAX_X_END,
     GasParams,
     Geometry,
+    _breaking_position,
     _floats,
     _is_real,
     _psi,
@@ -146,18 +145,18 @@ class BoundaryPulse:
         self.v = v
         self.tau0 = float(tau0)
         self.label = label
-        if abs(v(self.tau0)) > 1e-9 * max(1.0, abs(v(0.5 * self.tau0))):
-            raise DomainError("pulse must vanish at tau0 (limiting characteristic)")
-        if vdot0 is None:
-            step = 1e-6 * self.tau0
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN slope or b is refused
+            if abs(v(self.tau0)) > 1e-9 * max(1.0, abs(v(0.5 * self.tau0))):
+                raise DomainError("pulse must vanish at tau0 (limiting characteristic)")
+            if vdot0 is None:
+                step = 1e-6 * self.tau0
                 vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
-        if not (_is_real(vdot0) and math.isfinite(vdot0)):  # before building the integral
-            raise DomainError("pulse head slope and pulse integral must be finite")
-        self.vdot0 = float(vdot0)
-        self._integral = _panel_integral(v, self.tau0) if integral is None else integral
-        self._b0 = self._integral(0.0)
-        self.b = self.v_integral(self.tau0)
+            if not (_is_real(vdot0) and math.isfinite(vdot0)):  # before building the integral
+                raise DomainError("pulse head slope and pulse integral must be finite")
+            self.vdot0 = float(vdot0)
+            self._integral = _panel_integral(v, self.tau0) if integral is None else integral
+            self._b0 = self._integral(0.0)
+            self.b = self.v_integral(self.tau0)
         if not math.isfinite(self.b):
             raise DomainError("pulse head slope and pulse integral must be finite")
 
@@ -272,11 +271,7 @@ def formation_distance(pulse, gas=GasParams(), geom=Geometry(0)):
         raise FittingError(
             "pulse head is not compressive (v'(0) <= 0); no lead shock forms"
         )
-    J_form = 2.0 / ((gas.gamma + 1.0) * pulse.vdot0)
-    if not J_form <= MAX_RAY_INTEGRAL[geom.j]:
-        raise DomainError(f"the lead shock forms beyond x = {MAX_X_END:g}")
-    # J_form is in [0, MAX_RAY_INTEGRAL]: x is in [1, MAX_X_END], unchecked as no check could fire.
-    return float(_RAYS[geom.j][2](np.array(J_form)))
+    return _breaking_position(pulse.vdot0, gas, geom.j, "the lead shock forms")
 
 
 FITTED_CSV_HEADER = "x,tau_minus,u_jump,ux_jump,shock_time"

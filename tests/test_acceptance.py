@@ -86,6 +86,31 @@ def test_criterion_01_reference_error_envelope():
     assert devs["elapsed"] < 1.0
 
 
+def test_reference_table_is_the_closed_form_at_other_data():
+    # The bundled table is table1's own quantity, the weak closed form against the
+    # leading-order reference, but computed at (h, k) = (0.28, 10) for set A and
+    # (0.28, 0.32) for set B.  At the labelled (0.32, 10) and (0.32, 0.28) the
+    # same bounds fail: those cells miss by up to 14.4% and 21.6%.
+    set_a, set_b = REFERENCE_CASES
+    assert (set_a.h, set_a.k, set_b.h, set_b.k) == (0.32, 10.0, 0.32, 0.28)
+
+    def misses(case, h, k):  # |computed/bundled - 1| over the case's 26 cells
+        p, px = closed_form(REFERENCE_X, h, k, GAS)
+        p_ref, px_ref = leading_order_reference(REFERENCE_X, h, k, GAS)
+        errs = np.concatenate([np.abs(p - p_ref), np.abs(px - px_ref)])
+        return np.abs(errs / np.concatenate([case.p_err, case.px_err]) - 1.0)
+
+    def matches_a(miss):  # measured 0.10% at most
+        return np.all(miss <= 0.002)
+
+    def matches_b(miss):  # measured 1.79% in one cell, the other 25 within 1%
+        return np.all(miss <= 0.02) and np.sum(miss <= 0.01) >= 25
+
+    assert matches_a(misses(set_a, 0.28, 10.0)) and matches_b(misses(set_b, 0.28, 0.32))
+    assert not matches_a(misses(set_a, set_a.h, set_a.k))
+    assert not matches_b(misses(set_b, set_b.h, set_b.k))
+
+
 def test_criterion_02_closed_form_oracle():
     # The history comes from the closed form, so it is checked against a
     # DOP853 integration of the truncated transport equations instead.

@@ -217,6 +217,11 @@ def test_asymptote_stdout_matches_file_and_law(tmp_path, capsys):
         ["evolve", "--k", "1e300", "--x-end", "1e12"],
         # Just below the float ceiling, where the classic rule's Phi overflows.
         ["ccw", "--u0", "1.2e154", "--variant", "classic"],
+        # The Mach number of --h, the ramp integral's tau0^3 and pi/tau0 overflow a
+        # float; warnings are errors here, so none may come before the refusal.
+        ["ccw", "--h", "1.7e308"],
+        ["fit-shock", "--pulse", "ramp", "--v0", "0.1", "--tau0", "1e153"],
+        ["fit-shock", "--tau0", "1e-320"],
     ],
 )
 def test_non_finite_input_is_config_error(argv, capsys):

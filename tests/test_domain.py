@@ -166,6 +166,17 @@ LARGE_FINITE = {
         [0.0, 0.5, 0.5, 1.0], [0.0, 0.1, 0.1, 0.0]
     ),
     "from_table.all_zero": lambda: sd.BoundaryPulse.from_table([0.0, 0.5, 1.0], [0.0] * 3),
+    # (gamma+1) k J(x)/2 overflows, for either sign of k, or [p] = h psi/sqrt(I) does.
+    "closed_form.growth": lambda: sd.closed_form(1e18, 0.1, 1e300),
+    "closed_form.growth_k<0": lambda: sd.closed_form([2.0, 1e18], 0.1, -1e300),
+    "closed_form.p_jump": lambda: sd.closed_form(2.0, 1.7e308, -0.1),
+    "leading_order_reference.growth": lambda: sd.leading_order_reference(1e18, 0.1, 1e300),
+    "leading_order_reference.growth_k<0": lambda: sd.leading_order_reference(1e18, 0.1, -1e300),
+    "leading_order_reference.p_jump": lambda: sd.leading_order_reference(2.0, 1.7e308, -0.1),
+    "mach_from_p_jump.p_jump": lambda: sd.mach_from_p_jump(1.7e308),
+    # The ramp integral's tau0^3 overflows; pi/tau0 is inf, so v is NaN.
+    "linear_ramp.tau0": lambda: sd.BoundaryPulse.linear_ramp(0.1, 1e153),
+    "half_sine.tau0": lambda: sd.BoundaryPulse.half_sine(0.1, 1e-320),
 }
 
 

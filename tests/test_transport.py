@@ -16,6 +16,7 @@ import pytest
 
 from shockdecay import (
     AsymptoteConvention,
+    BoundaryPulse,
     BreakdownError,
     DomainError,
     GasParams,
@@ -25,6 +26,7 @@ from shockdecay import (
     closed_form,
     decay_slope,
     first_order_coefficients,
+    formation_distance,
     integrate_truncated,
     jumps_from_mach,
     leading_order_reference,
@@ -450,6 +452,42 @@ def test_breakdown_distance_is_the_public_inverse():
                 continue
             x_star = breakdown_distance(0.1, k, gas, geom)
             assert x_star == ray_integral_inverse(target, geom) and type(x_star) is float
+
+
+def test_formation_and_breakdown_are_one_breaking_law():
+    # An acceleration wave of compressive slope s breaks where J(x) = 2/((gamma+1) s):
+    # the lead shock of a pulse with head slope s forms where a gradient jump k = -s
+    # blows up, bit for bit, and past x = 1e18 each route refuses in its own words.
+    rng = np.random.default_rng(97)
+    refused = 0
+    for gamma, s in zip(50.0 - 49.0 * rng.random(300), 10.0 ** rng.uniform(-300.0, 300.0, 300)):
+        gas, pulse = GasParams(gamma), BoundaryPulse.linear_ramp(s, 1.0)
+        for geom in (PLANAR, CYL, SPH):
+            try:
+                x_form = formation_distance(pulse, gas, geom)
+            except DomainError as exc:
+                assert str(exc) == "the lead shock forms beyond x = 1e+18"
+                with pytest.raises(DomainError, match="^the gradient jump blows up beyond x = 1e"):
+                    breakdown_distance(0.1, -s, gas, geom)
+                refused += 1
+                continue
+            x_star = breakdown_distance(0.1, -s, gas, geom)
+            assert x_form == x_star and type(x_form) is float and 1.0 <= x_form <= MAX_X_END
+    assert 300 < refused < 600
+
+
+def test_closed_form_refuses_an_overflowing_growth_term_or_strength():
+    # Where (gamma+1) k J(x)/2 or [p] = h psi/sqrt(I) overflows a float, both closed
+    # forms refuse with DomainError, in Scenario's words for the growth term.  Just
+    # below, [p_x] reads its large-k limit 2/((gamma+1) J(x)) = 8.3e-19 at x = 1e18.
+    for f in (closed_form, leading_order_reference):
+        for k in (1e300, -1e300):
+            with pytest.raises(DomainError, match=r"^\(gamma\+1\) k J\(x\)/2 overflows"):
+                f(1e18, 0.1, k, GAS)
+        with pytest.raises(DomainError, match=r"^\[p\] overflows"):
+            f(2.0, 1.7e308, -0.1, GAS)
+    px = closed_form(1e18, 0.1, 1e280, GAS)[1]
+    assert px == pytest.approx(2.0 / ((GAS.gamma + 1.0) * ray_integral(1e18)), rel=1e-15)
 
 
 def test_breakdown_known_values():
