@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_MACH, GasParams, Geometry, _is_real, _machs, _mu_nu, _u_p_jumps,
+from .core import (MAX_MACH, GasParams, Geometry, _machs, _mu_nu, _real, _u_p_jumps,
                    as_scalar, check_samples, check_x_end, log_grid, write_csv)
 from .errors import DomainError, SolverError
 
@@ -110,7 +110,7 @@ def integrate_ccw(
     """
     if not isinstance(variant, CcwVariant):
         raise DomainError(f"unknown decay-rule variant {variant!r}")
-    if not (_is_real(U0) and 1.0 + WEAK_LIMIT_FLOOR < U0 <= MAX_MACH):
+    if not 1.0 + WEAK_LIMIT_FLOOR < _real(U0) <= MAX_MACH:
         raise DomainError(
             f"initial Mach number must exceed 1 + {WEAK_LIMIT_FLOOR:g} and be <= {MAX_MACH:g}"
         )

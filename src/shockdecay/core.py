@@ -35,7 +35,7 @@ MAX_SAMPLES = 1_000_000
 
 def check_x_end(x_end):
     """Raise DomainError unless 1 < x_end <= MAX_X_END."""
-    if not (_is_real(x_end) and 1.0 < x_end <= MAX_X_END):
+    if not 1.0 < _real(x_end) <= MAX_X_END:
         raise DomainError(f"x_end must lie in (1, {MAX_X_END:g}], got {x_end}")
 
 
@@ -45,29 +45,37 @@ def check_samples(n_samples):
         raise DomainError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples}")
 
 
-def _is_real(v):
-    """True for one real number: a Python or numpy real scalar but a bool, or a 0-d real array."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "fiu")
+def _real(v):
+    """One real number (a Python or numpy real scalar but a bool, or a 0-d real array) as a
+    Python float, which overflows to inf without a warning, and an integer past the float
+    range as +-inf; anything else as NaN, which every range check refuses."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "fiu"):
+        return np.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
 
 
 def _floats(values):
-    """values as a float array, or NaN, which every range check refuses, if not numbers."""
+    """values as a float array, or NaN, which every range check refuses, if not float numbers."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return np.array(np.nan)
 
 
 @dataclass(frozen=True)
 class GasParams:
-    """Ideal-gas description; gamma is the ratio of specific heats."""
+    """Ideal-gas description; gamma is the ratio of specific heats, stored as a float."""
 
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not (_is_real(self.gamma) and 1.0 < self.gamma <= MAX_GAMMA):
+        if not 1.0 < _real(self.gamma) <= MAX_GAMMA:
             raise DomainError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma}")
+        object.__setattr__(self, "gamma", _real(self.gamma))
 
 
 @dataclass(frozen=True)

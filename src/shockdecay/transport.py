@@ -31,15 +31,14 @@ import numpy as np
 
 from .core import (
     _RAYS,
-    MAX_X_END,  # unused here, but kept importable from transport
     GasParams,
     Geometry,
     _breaking_position,
     _floats,
-    _is_real,
     _machs,
     _positions,
     _psi,
+    _real,
     as_scalar,
     check_samples,
     check_x_end,
@@ -136,11 +135,11 @@ def _coefficients(m, g, j, x):
 
 def _checked_coefficients(U, gas, j, x, part):
     """_coefficients(...)[part] at U in [1, MAX_COEFFICIENT_MACH], x >= 1, j/x >= 0, all finite."""
-    x = float(_positions(x))
+    x, j = float(_positions(x)), _real(j)  # j: geom.j, or first_order_coefficients' omega
     if not 0.0 <= j / x < math.inf:
         raise DomainError("curvature j/x must be finite and >= 0")
     U = float(_machs(U, MAX_COEFFICIENT_MACH))
-    out = _coefficients(U * U - 1.0, float(gas.gamma), j, x)[part]
+    out = _coefficients(U * U - 1.0, gas.gamma, j, x)[part]
     if not all(map(math.isfinite, out)):
         raise DomainError(f"a coefficient overflows a float at U = {U}, j/x = {j / x}")
     return out
@@ -194,17 +193,11 @@ class Scenario:
 
     def __post_init__(self):
         check_x_end(self.x_end)
-        _finite_jumps(self.h, self.k)
-        if self.h < 0.0:
+        h, k = _finite_jumps(self.h, self.k)
+        if h < 0.0:
             raise DomainError("initial pressure jump h must be >= 0 (compressive)")
-        # x_end is checked above; in Python floats an overflow gives inf quietly.
-        J_end = float(_RAYS[self.geom.j][0](float(self.x_end)))
-        growth = 0.5 * (self.gas.gamma + 1.0) * self.k * J_end
-        if not math.isfinite(growth):  # I(x) of the closed form would overflow
-            raise DomainError(
-                f"(gamma+1) k J(x_end)/2 overflows for gamma = {self.gas.gamma}, k = {self.k}"
-            )
-        if self.h > 0.5:
+        _check_growth(k, self.gas, float(_RAYS[self.geom.j][0](float(self.x_end))), "x_end")
+        if h > 0.5:
             warnings.warn(
                 f"initial jump h = {self.h} is outside the weak-shock regime",
                 stacklevel=2,
@@ -244,10 +237,17 @@ class ShockHistory:
 
 
 def _finite_jumps(h, k):
-    """Raise DomainError unless the initial jumps h and k are finite real numbers."""
+    """The initial jumps (h, k) as floats; DomainError unless each is a finite real number."""
     for name, v in (("pressure jump h", h), ("gradient jump k", k)):
-        if not (_is_real(v) and math.isfinite(v)):
+        if not math.isfinite(_real(v)):
             raise DomainError(f"initial {name} must be finite, got {v}")
+    return _real(h), _real(k)
+
+
+def _check_growth(k, gas, J, at):
+    """DomainError where the closed form's growth term (gamma+1) k J(at)/2 overflows (floats)."""
+    if not math.isfinite(0.5 * (gas.gamma + 1.0) * k * J):
+        raise DomainError(f"(gamma+1) k J({at})/2 overflows for gamma = {gas.gamma}, k = {k}")
 
 
 def _closed_form_jumps(x, h, k, gas, geom, leading=False):
@@ -264,12 +264,10 @@ def _checked_jumps(x, h, k, gas, geom, leading):
     """_closed_form_jumps of positions x and jumps (h, k), checked; DomainError where
     (gamma+1) k J(x)/2 or [p] overflows.  [p_x] = k psi/I cannot: I nears 0 only where
     (gamma+1) |k| J/2 ~ 1, and J >= 2e-16 wherever it is not 0 bounds |k| there."""
-    _finite_jumps(h, k)
+    h, k = _finite_jumps(h, k)
     x = _positions(x)
-    # J grows with x, so the largest term sits at the largest x; Python floats overflow quietly.
-    J_max = float(_RAYS[geom.j][leading](float(x.max()))) if x.size else 0.0
-    if not math.isfinite(0.5 * (float(gas.gamma) + 1.0) * float(k) * J_max):
-        raise DomainError(f"(gamma+1) k J(x)/2 overflows for gamma = {gas.gamma}, k = {k}")
+    # J grows with x, so the largest term sits at the largest x.
+    _check_growth(k, gas, float(_RAYS[geom.j][leading](float(x.max()))) if x.size else 0.0, "x")
     with np.errstate(over="ignore"):  # h/sqrt(I) overflows as I(x) nears 0, refused below
         out = _closed_form_jumps(x, h, k, gas, geom, leading)
     if out is not None and not np.isfinite(out[0]).all():
@@ -306,11 +304,10 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
     [p]   ~ h sqrt(2/((gamma+1)k)) * psi / sqrt(J_lead),
     [p_x] ~ 2/(gamma+1) * psi / J_lead  -- no h dependence.
     """
-    _finite_jumps(h, k)
+    h, k = _finite_jumps(h, k)
     if not k > 0.0:
         raise DomainError("decay asymptotes require a positive gradient jump k")
-    # Python floats: an overflow gives inf quietly, caught just below.
-    amp = float(h) * math.sqrt(2.0 / ((float(gas.gamma) + 1.0) * float(k)))
+    amp = h * math.sqrt(2.0 / ((gas.gamma + 1.0) * k))
     if not math.isfinite(amp):
         raise DomainError(f"decay amplitude h*sqrt(2/((gamma+1)k)) overflows for k = {k}")
     x = _positions(x)
@@ -323,7 +320,7 @@ def asymptotic_law(x, h, k, gas=GasParams(), geom=Geometry(0)):
 
 def breakdown_distance(h, k, gas=GasParams(), geom=Geometry(0)):
     """Blow-up position x* with I(x*) = 0, or None when k >= 0; DomainError past MAX_X_END."""
-    _finite_jumps(h, k)
+    k = _finite_jumps(h, k)[1]
     if k >= 0.0:
         return None
     return _breaking_position(-k, gas, geom.j, "the gradient jump blows up")

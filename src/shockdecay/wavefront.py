@@ -30,11 +30,10 @@ from .core import (
     Geometry,
     _breaking_position,
     _floats,
-    _is_real,
     _psi,
+    _real,
     as_scalar,
     gauss_legendre,
-    psi,  # unused here, but bench/tracing.py wraps wavefront.psi
     ray_integral,
     write_csv,
 )
@@ -140,20 +139,18 @@ class BoundaryPulse:
     _root = None  # smallest root tau_-(c J) of the area rule, closed form or estimate
 
     def __init__(self, v, tau0, vdot0=None, integral=None, label="custom"):
-        if not (_is_real(tau0) and 0.0 < tau0 < math.inf):
+        self.v, self.tau0, self.label = v, _real(tau0), label
+        if not 0.0 < self.tau0 < math.inf:
             raise DomainError("pulse duration tau0 must be finite and positive")
-        self.v = v
-        self.tau0 = float(tau0)
-        self.label = label
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN slope or b is refused
-            if abs(v(self.tau0)) > 1e-9 * max(1.0, abs(v(0.5 * self.tau0))):
-                raise DomainError("pulse must vanish at tau0 (limiting characteristic)")
             if vdot0 is None:
                 step = 1e-6 * self.tau0
                 vdot0 = (-3.0 * v(0.0) + 4.0 * v(step) - v(2.0 * step)) / (2.0 * step)
-            if not (_is_real(vdot0) and math.isfinite(vdot0)):  # before building the integral
+            self.vdot0 = _real(vdot0)
+            if not math.isfinite(self.vdot0):  # before building the integral
                 raise DomainError("pulse head slope and pulse integral must be finite")
-            self.vdot0 = float(vdot0)
+            if not abs(v(self.tau0)) <= 1e-9 * max(1.0, abs(v(0.5 * self.tau0))):  # NaN fails
+                raise DomainError("pulse must vanish at tau0 (limiting characteristic)")
             self._integral = _panel_integral(v, self.tau0) if integral is None else integral
             self._b0 = self._integral(0.0)
             self.b = self.v_integral(self.tau0)
@@ -171,9 +168,10 @@ class BoundaryPulse:
     @classmethod
     def half_sine(cls, v0, tau0):
         """v(tau) = v0 sin(pi tau / tau0)."""
-        if not (_is_real(tau0) and 0.0 < tau0 < math.inf):
+        tau0, v0 = _real(tau0), _real(v0)
+        if not 0.0 < tau0 < math.inf:
             raise DomainError("pulse duration tau0 must be finite and positive")
-        if not (_is_real(v0) and math.isfinite(v0)):
+        if not math.isfinite(v0):
             raise DomainError("pulse amplitude v0 must be finite")
         w = np.pi / tau0
 
@@ -193,7 +191,7 @@ class BoundaryPulse:
     @classmethod
     def linear_ramp(cls, m, tau0):
         """v(tau) = m tau (1 - tau/tau0): linear head, ramp back to zero."""
-        if not (_is_real(m) and math.isfinite(m)):
+        if not math.isfinite(_real(m)):
             raise DomainError("ramp slope m must be finite")
 
         def v(tau):
@@ -478,7 +476,7 @@ def wngo_decay(b, gas=GasParams(), geom=Geometry(0), x=10.0):
 
     b is the (bounded) integral of the boundary pulse.
     """
-    if not (_is_real(b) and 0.0 < b < math.inf):
+    if not 0.0 < _real(b) < math.inf:
         raise DomainError("pulse integral b must be finite and positive")
     x = _floats(x)
     if x.size and not (x.min() > 1.0 and x.max() < math.inf):  # a NaN fails min() > 1
@@ -497,12 +495,12 @@ def ruw_state(u, gas=GasParams()):
     if not np.isfinite(u).all():
         raise DomainError("velocity u must be finite")
     g = gas.gamma
-    a = 1.0 + 0.5 * (g - 1.0) * u
-    if np.any(a <= 0.0):
-        raise VacuumError("velocity at or below -2/(gamma-1): state reaches vacuum")
-    with np.errstate(over="ignore"):  # checked just below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        a = 1.0 + 0.5 * (g - 1.0) * u
         rho = a ** (2.0 / (g - 1.0))
         p = a ** (2.0 * g / (g - 1.0)) / g
+    if np.any(a <= 0.0):
+        raise VacuumError("velocity at or below -2/(gamma-1): state reaches vacuum")
     if not np.isfinite(p).all():  # p = rho**gamma / gamma, so rho is finite too
         raise DomainError("velocity u gives a state that overflows")
     return as_scalar(rho, p, a)
@@ -518,15 +516,12 @@ def simple_wave_u(rhs, gas=GasParams()):
     once |G| < 8 eps (1 + log rhs).  G rounds to ~eps log rhs, so the relative
     residual is only held below 4 eps (1 + log rhs), 6.3e-13 at the largest double.
     """
-    # A float or np.float64 skips np.ndim, which costs more than the arithmetic below.
-    if not (isinstance(rhs, float) or _is_real(rhs)) or not 0.0 <= rhs < math.inf:
-        raise DomainError(
-            "rhs must be a finite scalar >= 0 (the expansive branch is out of scope)"
-        )
-    r = float(rhs)
+    r = float(rhs) if isinstance(rhs, float) else _real(rhs)  # a float skips _real's tests
+    if not 0.0 <= r < math.inf:
+        raise DomainError("rhs must be a finite scalar >= 0 (the expansive branch is out of scope)")
     if r == 0.0:
         return 0.0
-    g = float(gas.gamma)  # a float overflows to inf quietly; a numpy scalar warns
+    g = gas.gamma
     a = 0.5 * (g - 1.0)
     if r >= 1.0:
         tol = 8.0 * math.ulp(1.0) * (1.0 + math.log(r))

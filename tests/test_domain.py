@@ -7,6 +7,8 @@ absent: it skips samples that are not positive and finite, by design.
 """
 
 import dataclasses
+import functools
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -92,6 +94,25 @@ def test_non_finite_input_raises_domain_error(name, value):
         CALLS[name](value)
 
 
+# A Python integer past the float range reads as +-inf where a scalar is
+# expected, and as NaN in an array, so the check that refuses infinity refuses
+# it too, with no OverflowError on the way.  The integral row is absent: its
+# value is what a caller's integral returns, not an argument.  Nor are the
+# arguments whose range check compared the integer itself, and so refused it.
+HUGE = 10**400
+COMPARED_EXACTLY = ("GasParams.gamma", "integrate_ccw.U0", "integrate_ccw.x_end",
+                    "Scenario.x_end", "compare_methods.h", "compare_methods.x_end")
+HUGE_INTEGERS = {name: functools.partial(call, HUGE) for name, call in CALLS.items()
+                 if name != "BoundaryPulse.integral" and name not in COMPARED_EXACTLY}
+HUGE_INTEGERS["breakdown_distance.k<0"] = lambda: sd.breakdown_distance(0.1, -HUGE, GAS, CYL)
+
+
+@pytest.mark.parametrize("name", list(HUGE_INTEGERS))
+def test_huge_integer_input_raises_domain_error(name):
+    with pytest.raises(sd.DomainError):
+        HUGE_INTEGERS[name]()
+
+
 # Large but finite inputs whose answer overflows a float, or which lie above
 # a Mach ceiling (core.MAX_MACH, transport.MAX_COEFFICIENT_MACH): DomainError,
 # and no overflow warning on the way.  compare_methods also refuses, next to the
@@ -99,7 +120,8 @@ def test_non_finite_input_raises_domain_error(name, value):
 # counts are checked like --samples: an integer in [2, MAX_SAMPLES].  A
 # geometry index must be an integer, and decay_slope's x and y one shape.
 # simple_wave_u takes a scalar rhs, not an array or a list.  A pulse table
-# must start at tau = 0, increase, and not vanish everywhere.
+# must start at tau = 0, increase, and not vanish everywhere.  A custom pulse
+# must vanish at tau0, which a NaN v(tau0) does not.
 # wngo_decay refuses x = 1, where J = 0, in every geometry, and x just above 1
 # where the cylindrical J = 2(sqrt(x) - 1) rounds to 0.
 COMPARE = dict(gas=GAS, geometries=list(map(sd.Geometry, (0, 1, 2))), h=0.05, k=1.0, x_end=1e12)
@@ -113,6 +135,7 @@ LARGE_FINITE = {
     "wngo_decay.x=1[2]": lambda: sd.wngo_decay(0.1, GAS, SPH, 1.0),
     "wngo_decay.x_above_1[1]": lambda: sd.wngo_decay(0.1, GAS, CYL, np.nextafter(1.0, 2.0)),
     "ruw_state.u": lambda: sd.ruw_state(1e300),
+    "ruw_state.u_gamma": lambda: sd.ruw_state(1e308, sd.GasParams(40.0)),  # (gamma-1) u overflows
     "jumps_from_mach.mach": lambda: sd.jumps_from_mach(1e200),
     "mu_nu.mach": lambda: sd.mu_nu(1e200),
     "g_classic.U": lambda: sd.g_classic(1e200),
@@ -177,6 +200,10 @@ LARGE_FINITE = {
     # The ramp integral's tau0^3 overflows; pi/tau0 is inf, so v is NaN.
     "linear_ramp.tau0": lambda: sd.BoundaryPulse.linear_ramp(0.1, 1e153),
     "half_sine.tau0": lambda: sd.BoundaryPulse.half_sine(0.1, 1e-320),
+    "BoundaryPulse.v(tau0)=nan": lambda: sd.BoundaryPulse(
+        lambda t: np.where(t == 1.0, np.nan, np.sin(np.pi * t)), 1.0, np.pi,
+        lambda t: (1.0 - np.cos(np.pi * t)) / np.pi,
+    ),
 }
 
 
@@ -373,3 +400,86 @@ def test_wavelet_time_takes_lists_that_broadcast():
     listed = sd.wavelet_time([2.0] * 3, list(taus), PULSE, GAS, CYL)
     np.testing.assert_array_equal(listed, expected)
     np.testing.assert_array_equal(sd.wavelet_time(2.0, taus, PULSE, GAS, CYL), expected)
+
+
+def test_gas_params_stores_a_python_float():
+    # gamma is converted once, where it enters: a numpy or 0-d gamma gives a
+    # hashable GasParams and a report that serializes like a float's.
+    assert type(sd.GasParams(np.float64(1.4)).gamma) is float
+    gas = sd.GasParams(np.array(1.4))
+    assert hash(gas) == hash(sd.GasParams(1.4))
+    report = sd.compare_methods(gas, [CYL], 0.05, 1.0, 1e4)
+    assert json.dumps(report) == json.dumps(sd.compare_methods(GAS, [CYL], 0.05, 1.0, 1e4))
+
+
+def _bits(value):
+    """An output as comparable bits: float hex, array bytes, fields of a record."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(dataclasses.astuple(value))
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value.dtype.str, value.tobytes()
+    return float(value).hex() if isinstance(value, (float, np.ndarray)) else value
+
+
+def _outcome(call):
+    """What a call gives: its output's bits, or its exception's type and message."""
+    try:
+        out = call()
+    except Exception as exc:  # a warning is an error here, and so an outcome
+        return type(exc).__name__, str(exc)
+    return _bits(out)
+
+
+# Arguments (gas, geom, a, b, c, p, q, u): a and b of either sign, c >= 1, p = |a|,
+# q = |b| and u = 1 + |a|, each made before the scalar type is applied.
+TYPED_CALLS = {
+    "Scenario": lambda g, geom, a, b, c, p, q, u: sd.Scenario(g, geom, p, b, c),
+    "closed_form": lambda g, geom, a, b, c, p, q, u: sd.closed_form(c, a, b, g, geom),
+    "leading_order_reference": lambda g, geom, a, b, c, p, q, u: sd.leading_order_reference(
+        c, a, b, g, geom
+    ),
+    "asymptotic_law": lambda g, geom, a, b, c, p, q, u: sd.asymptotic_law(c, a, b, g, geom),
+    "breakdown_distance": lambda g, geom, a, b, c, p, q, u: sd.breakdown_distance(a, b, g, geom),
+    "formation_distance.ramp": lambda g, geom, a, b, c, p, q, u: sd.formation_distance(
+        sd.BoundaryPulse.linear_ramp(a, c), g, geom
+    ),
+    "formation_distance.half_sine": lambda g, geom, a, b, c, p, q, u: sd.formation_distance(
+        sd.BoundaryPulse.half_sine(a, c), g, geom
+    ),
+    "simple_wave_u": lambda g, geom, a, b, c, p, q, u: sd.simple_wave_u(p, g),
+    "ruw_state": lambda g, geom, a, b, c, p, q, u: sd.ruw_state(a, g),
+    "wngo_decay": lambda g, geom, a, b, c, p, q, u: sd.wngo_decay(p, g, geom, c),
+    "mach_from_p_jump": lambda g, geom, a, b, c, p, q, u: sd.mach_from_p_jump(p, g),
+    "integrate_ccw": lambda g, geom, a, b, c, p, q, u: sd.integrate_ccw(u, g, geom, c, n_samples=4),
+    "first_order_coefficients": lambda g, geom, a, b, c, p, q, u: sd.first_order_coefficients(
+        u, g, q
+    ),
+    "second_order_coefficients": lambda g, geom, a, b, c, p, q, u: sd.second_order_coefficients(
+        u, g, geom, c
+    ),
+}
+SCALAR_TYPES = {"float": float, "float64": np.float64, "0-d": np.array}
+
+
+def test_scalar_type_does_not_change_the_outcome():
+    # Each scalar argument as a Python float, an np.float64 and a 0-d float64
+    # array: the same output bits, or the same exception and message, with
+    # warnings as errors.  Half the magnitudes span 1e-320 to 1e308, where a
+    # numpy scalar warns on an overflow that a Python float takes quietly.
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        gamma = 1.0 + 49.0 * (1.0 - rng.random()) ** 3
+        geom = sd.Geometry(int(rng.integers(3)))
+        wide = rng.random(3) < 0.5
+        exponents = np.where(wide, rng.uniform(-320, 308.25, 3), rng.uniform(-2, 2, 3))
+        a, b, c = 10.0**exponents * rng.choice([-1.0, 1.0], 3)
+        c = 1.0 + abs(c)  # a position, an x_end or a pulse duration
+        values = (a, b, c, abs(a), abs(b), 1.0 + abs(a))
+        for name, call in TYPED_CALLS.items():
+            outcomes = {
+                kind: _outcome(lambda: call(sd.GasParams(to(gamma)), geom, *map(to, values)))
+                for kind, to in SCALAR_TYPES.items()
+            }
+            assert outcomes["float64"] == outcomes["0-d"] == outcomes["float"], (name, values)

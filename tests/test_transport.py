@@ -37,10 +37,9 @@ from shockdecay import (
     ray_integral_leading,
     second_order_coefficients,
 )
-from shockdecay.core import log_grid
+from shockdecay.core import MAX_X_END, log_grid
 from shockdecay.transport import (
     MAX_COEFFICIENT_MACH,
-    MAX_X_END,
     REFERENCE_CASES,
     REFERENCE_X,
     ShockHistory,
